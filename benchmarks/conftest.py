@@ -1,9 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the per-figure benches.
 
 Every ``bench_*`` module regenerates one table or figure of the paper: it runs
 the corresponding workflow configurations on the cluster simulator (or the
-threaded runtime), prints the same rows/series the paper reports, and records
-the wall-clock of the regeneration itself through ``pytest-benchmark``.
+threaded runtime), prints the same rows/series the paper reports, asserts the
+paper's trend, and records the wall-clock of the regeneration itself through
+``pytest-benchmark``.  ``--benchmark-disable`` keeps only the assertions.  The
+repository benchmark that times the simulator is ``perf/run.py`` (see
+``perf/README.md``).
 
 Scale note: the benches default to fewer time steps / less data per rank than
 the paper so the whole suite finishes in a few minutes on a laptop.  Set the

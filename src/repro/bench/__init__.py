@@ -1,4 +1,4 @@
-"""Experiment descriptors and report formatting shared by the benchmark harness.
+"""Experiment descriptors and report formatting for the paper's figures.
 
 The modules here define, for every table and figure of the paper, the exact
 workflow configurations to run and the rows/series to print, so the scripts in
@@ -10,10 +10,12 @@ representative-rank simulator; the scale knobs (``steps``,
 ``representative_sim_ranks``, ``data_per_rank``) default to values small
 enough for a laptop while keeping the per-rank workload and the full-job
 parameters faithful to the paper.
+
+The repository benchmark, ``perf/run.py`` (see ``perf/README.md``), times
+these same grids; it takes its cases from :mod:`repro.bench.experiments`.
 """
 
 from repro.bench.report import format_table, format_series, breakdown_row
-from repro.bench.harness import BenchResult, run_suite, suite_cases
 from repro.bench.experiments import (
     FIGURE2_TRANSPORTS,
     figure2_spec,
@@ -39,9 +41,6 @@ __all__ = [
     "format_table",
     "format_series",
     "breakdown_row",
-    "BenchResult",
-    "run_suite",
-    "suite_cases",
     "FIGURE2_TRANSPORTS",
     "figure2_spec",
     "figure12_spec",

@@ -20,8 +20,6 @@ Layout:
   stream, heartbeat).
 * :mod:`repro.campaign.cli` — ``python -m repro.sweep campaign
   serve|work|status``.
-* :mod:`repro.campaign.bench` — the ``campaign`` overhead suite of
-  ``python -m repro.bench``.
 """
 
 from repro.campaign.coordinator import Campaign, CoordinatorServer

@@ -41,7 +41,7 @@ from repro.core.stats import RuntimeStats
 from repro.core.producer import ProducerRuntime
 from repro.core.consumer import ConsumerRuntime
 from repro.core.zipper import Zipper, ZipperResult, zip_applications
-from repro.core.perf_model import (
+from repro.perfmodel.zipper import (
     PerformanceModel,
     StageTimes,
     pipeline_makespan,

@@ -266,15 +266,20 @@ class TestInverseProblems:
         ) == shares
 
 
-# -- the relocated Section 4.4 model -------------------------------------------
+# -- where the Section 4.4 model is exported -----------------------------------
 class TestCompatibilityShim:
     def test_core_perf_model_reexports_zipper_module(self):
-        import repro.core.perf_model as legacy
-        import repro.perfmodel.zipper as relocated
+        import repro.core as core
+        import repro.perfmodel.zipper as zipper
 
-        assert legacy.PerformanceModel is relocated.PerformanceModel
-        assert legacy.StageTimes is relocated.StageTimes
-        assert legacy.pipeline_makespan is relocated.pipeline_makespan
+        for name in (
+            "PerformanceModel",
+            "StageTimes",
+            "pipeline_makespan",
+            "sequential_makespan",
+            "pipeline_schedule",
+        ):
+            assert getattr(core, name) is getattr(zipper, name)
 
     def test_package_exports_both_layers(self):
         import repro.perfmodel as pm
