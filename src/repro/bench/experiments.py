@@ -426,7 +426,7 @@ def elastic_burst_pipeline(
     ``total_cores``); what varies is how the cores are *granted*: the
     simulation stage gets ``sim_cores`` of them and the analysis stage the
     rest, encoded as per-stage rate factors exactly like the elastic
-    controller's allocation scales (a stage granted half its ranks' cores
+    controller's ``"elastic"`` factor (a stage granted half its ranks' cores
     computes at half speed).  The analysis cost spikes
     ``burst_factor``-fold for ``burst_length`` steps at the end of every
     ``burst_period``-step window — the in-situ-rendering/checkpoint pattern

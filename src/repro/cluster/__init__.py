@@ -32,7 +32,7 @@ from repro.cluster.spec import (
 from repro.cluster.counters import PortCounters, CounterRegistry
 from repro.cluster.network import Network, TransferResult
 from repro.cluster.pfs import ParallelFileSystem, IOResult
-from repro.cluster.node import ComputeNode
+from repro.cluster.node import RATE_OWNERS, ComputeNode
 from repro.cluster.machine import Cluster
 from repro.cluster.presets import bridges, stampede2, laptop
 
@@ -49,6 +49,7 @@ __all__ = [
     "ParallelFileSystem",
     "IOResult",
     "ComputeNode",
+    "RATE_OWNERS",
     "Cluster",
     "bridges",
     "stampede2",

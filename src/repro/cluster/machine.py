@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Any, List, Optional
 
 from repro.simcore import Environment, RandomStreams
 from repro.cluster.counters import CounterRegistry
@@ -112,31 +112,6 @@ class Cluster:
 
     def node(self, node_id: int) -> ComputeNode:
         return self.nodes[node_id]
-
-    def set_node_allocation(self, node_ids: Iterable[int], scale: float) -> None:
-        """Re-scale the effective compute rate of a group of nodes.
-
-        The single entry point elastic controllers use to apply a stage
-        resize: every node hosting the stage's ranks gets the same
-        allocation scale (cores now backing each rank relative to the static
-        plan).  Delegates to
-        :meth:`~repro.cluster.node.ComputeNode.set_allocation_scale`, which
-        owns the cached-rate invalidation.
-        """
-        for node_id in node_ids:
-            self.nodes[node_id].set_allocation_scale(scale)
-
-    def set_tenant_scale(self, scale: float) -> None:
-        """Scale every node's compute rate to the owning tenant's share.
-
-        The tenant scheduler's entry point: a job's whole (private) cluster
-        runs at the slice of the shared facility its tenant currently
-        holds.  Delegates to
-        :meth:`~repro.cluster.node.ComputeNode.set_tenant_scale`, which
-        composes the factor with the elastic and fault scales.
-        """
-        for node in self.nodes:
-            node.set_tenant_scale(scale)
 
     def node_of_rank(self, rank: int, ranks_per_node: Optional[int] = None) -> int:
         """Map a rank to a modelled node using block placement."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Union
 
 from repro import sanitize
 from repro.simcore import Container, Environment, RandomStreams, Resource, Timeout
@@ -11,7 +11,48 @@ from repro.cluster.spec import NodeSpec
 if TYPE_CHECKING:
     from repro.simcore.resources import ContainerGet, ContainerPut
 
-__all__ = ["ComputeNode"]
+__all__ = ["ComputeNode", "RATE_OWNERS", "RateFactors"]
+
+#: The layers that re-rate a node's compute or a coupling's bandwidth mid-run,
+#: in the order their factors multiply.  Float products are not associative,
+#: so this order is part of every result.
+RATE_OWNERS = ("elastic", "fault", "tenant")
+
+
+class RateFactors:
+    """One rate factor per :data:`RATE_OWNERS` entry, each written by its owner.
+
+    The elastic controller owns ``"elastic"`` (stage resizes, bandwidth
+    leases), the fault injector ``"fault"`` (stragglers, transport
+    restarts) and the tenant scheduler ``"tenant"`` (a job's slice of a
+    shared facility).  Every factor starts at 1.0.
+    """
+
+    __slots__ = ("_factors",)
+
+    def __init__(self) -> None:
+        self._factors: Dict[str, float] = dict.fromkeys(RATE_OWNERS, 1.0)
+
+    def __getitem__(self, owner: str) -> float:
+        return self._factors[owner]
+
+    def set(self, owner: str, factor: float) -> None:
+        """Replace ``owner``'s factor; a rejected write changes nothing.
+
+        Raises ``KeyError`` for an owner outside :data:`RATE_OWNERS` and
+        ``ValueError`` for a factor that is not positive.
+        """
+        if owner not in self._factors:
+            raise KeyError(f"unknown rate owner {owner!r}; owners are {RATE_OWNERS}")
+        if not factor > 0:
+            raise ValueError(f"{owner} rate factor must be positive, got {factor!r}")
+        self._factors[owner] = float(factor)
+
+    def times(self, base: float) -> float:
+        """``base`` multiplied by every factor, in :data:`RATE_OWNERS` order."""
+        for factor in self._factors.values():
+            base *= factor
+        return base
 
 
 class _FastHolder:
@@ -38,12 +79,11 @@ class ComputeNode:
     holding a core slot, so that oversubscription of a node is visible as
     queueing.
 
-    The effective compute rate is *mutable*: an elastic controller can shift
-    core share between stages mid-run by scaling the allocation of the nodes
-    hosting each stage (:meth:`set_allocation_scale`).  The rate is cached
-    (it sits on the per-phase hot path) and the setter is the single
-    invalidation point, so any layer that changes allocations must go through
-    it — never mutate ``spec.core_speed`` directly.
+    The effective compute rate is *mutable*: the elastic, fault and tenant
+    layers each re-rate the node mid-run through :meth:`set_rate_factor`.
+    The rate is cached (it sits on the per-phase hot path) and that setter is
+    the single invalidation point, so any layer that changes the rate must go
+    through it — never mutate ``spec.core_speed`` directly.
     """
 
     def __init__(
@@ -62,11 +102,9 @@ class ComputeNode:
         self.cores = Resource(env, capacity=spec.cores)
         self.memory = Container(env, capacity=float(spec.memory_bytes), init=0.0)
         self.busy_core_seconds = 0.0
-        self._allocation_scale = 1.0
-        self._fault_scale = 1.0
-        self._tenant_scale = 1.0
+        self._factors = RateFactors()
         # Cached effective rate (reference seconds per simulated second);
-        # invalidated only by the set_*_scale setters.
+        # invalidated only by set_rate_factor.
         self._rate = spec.core_speed
         #: Whether a fault (crash in progress, straggler window) currently
         #: impairs this node.  Pure observation for monitors and elastic
@@ -83,80 +121,23 @@ class ComputeNode:
         self._claimed_slots = 0
         self._fast_path = False
 
-    @property
-    def allocation_scale(self) -> float:
-        """How many real cores back each modelled rank, relative to the static plan."""
-        return self._allocation_scale
+    def rate_factor(self, owner: str) -> float:
+        """The compute-rate factor ``owner`` last set (1.0 until it does)."""
+        return self._factors[owner]
 
-    def set_allocation_scale(self, scale: float) -> None:
-        """Re-scale this node's effective compute rate to ``scale`` × nominal.
+    def set_rate_factor(self, owner: str, factor: float) -> None:
+        """Set ``owner``'s factor of this node's compute rate.
 
-        A modelled rank normally stands for a fixed slice of the represented
-        job's cores; when an elastic controller moves cores between stages,
-        each rank of the grown stage is backed by proportionally more cores
-        (``scale`` > 1, faster) and each rank of the shrunk stage by fewer
-        (``scale`` < 1, slower).  Only work *started* after the call runs at
-        the new rate — in-flight compute keeps the duration frozen when it
-        was issued, exactly like a real reallocation at an epoch boundary.
+        The rate is ``core_speed`` times every :data:`RATE_OWNERS` factor,
+        multiplied in that order.  An elastic resize backs each modelled rank
+        with more (``factor`` > 1) or fewer real cores, a straggler window
+        sets ``1/slowdown``, and a tenant share scales the job's slice of a
+        shared facility.  Only work *started* after the call runs at the new
+        rate — in-flight compute keeps the duration frozen when it was
+        issued, exactly like a real reallocation at an epoch boundary.
         """
-        if scale <= 0:
-            raise ValueError("allocation scale must be positive")
-        self._allocation_scale = float(scale)
-        self._rate = (
-            self.spec.core_speed
-            * self._allocation_scale
-            * self._fault_scale
-            * self._tenant_scale
-        )
-
-    @property
-    def fault_scale(self) -> float:
-        """Fault-induced compute derating (1.0 when the node is healthy)."""
-        return self._fault_scale
-
-    def set_fault_scale(self, scale: float) -> None:
-        """Derate (or restore) this node's compute rate for a fault window.
-
-        Orthogonal to :meth:`set_allocation_scale`: the elastic layer owns
-        the allocation scale, the fault injector owns this one, and the
-        cached rate composes both.  A straggler window sets ``1/slowdown``;
-        recovery restores ``1.0``.  As with allocation changes, only work
-        started after the call runs at the new rate.
-        """
-        if scale <= 0:
-            raise ValueError("fault scale must be positive")
-        self._fault_scale = float(scale)
-        self._rate = (
-            self.spec.core_speed
-            * self._allocation_scale
-            * self._fault_scale
-            * self._tenant_scale
-        )
-
-    @property
-    def tenant_scale(self) -> float:
-        """Share of this node's compute granted to the hosting job's tenant."""
-        return self._tenant_scale
-
-    def set_tenant_scale(self, scale: float) -> None:
-        """Scale this node's compute rate to the tenant's facility share.
-
-        The third orthogonal rate factor: the elastic layer owns the
-        allocation scale, the fault injector owns the fault scale, and the
-        tenant scheduler owns this one (a job's slice of a *shared*
-        facility, ``scale`` ≤ 1 under contention, 1.0 when dedicated).  The
-        cached rate composes all three, and as with the other factors only
-        work started after the call runs at the new rate.
-        """
-        if scale <= 0:
-            raise ValueError("tenant scale must be positive")
-        self._tenant_scale = float(scale)
-        self._rate = (
-            self.spec.core_speed
-            * self._allocation_scale
-            * self._fault_scale
-            * self._tenant_scale
-        )
+        self._factors.set(owner, factor)
+        self._rate = self._factors.times(self.spec.core_speed)
 
     def claim_compute_slots(self, count: int = 1) -> None:
         """Declare up to ``count`` additional concurrent :meth:`compute` callers.
@@ -261,7 +242,6 @@ class ComputeNode:
         self,
         seconds: Union[float, Sequence[float]],
         steps: int = 1,
-        deadline: float = float("inf"),
     ) -> Generator:
         """Fast-forward ``steps`` repetitions of a compute segment in one event.
 
@@ -275,15 +255,13 @@ class ComputeNode:
         with the same float operations the per-call path performs, so results
         are bit-identical.
 
-        ``deadline`` invalidates the fast-forward: if the folded end time
-        would pass it (an elastic epoch boundary, after which
-        :meth:`set_allocation_scale` may change the rate or an assist rank
-        may spawn mid-segment), the batch *declines* — it returns ``None``
-        without consuming any event or simulated time, and the caller runs
-        its exact per-call sequence, which observes control decisions chunk
-        by chunk.  The batch likewise declines when the node cannot
-        fast-forward at all (:attr:`can_batch` false, or a transient core
-        holder).
+        The folded rate is the one in force when the batch starts, so a
+        caller may batch only while nothing can re-rate the node (see
+        :attr:`~repro.workflow.runner.PipelineRunner.rates_fixed`).  The
+        batch *declines* when the node cannot fast-forward at all
+        (:attr:`can_batch` false, or a transient core holder): it returns
+        ``None`` without consuming any event or simulated time, and the
+        caller runs its exact per-call sequence instead.
 
         Returns the list of per-repetition elapsed simulated seconds (one
         entry per ``steps``), matching what a caller timing each repetition
@@ -335,8 +313,6 @@ class ComputeNode:
                 else:
                     credit += 2
             elapsed.append(rep)
-        if end > deadline:
-            return None
         if any_timeout:
             # One absolute-time event stands in for the whole segment.  The
             # phantom slot keeps the node's occupancy visible for the whole

@@ -5,10 +5,12 @@ Two controllers share one mechanism layer:
 * :class:`ElasticControllerBase` owns the *mechanisms* and their invariants —
   the epoch clock (one :class:`~repro.simcore.control.PeriodicController`
   wake-up per policy epoch), the :class:`~repro.elastic.monitor.EpochMonitor`,
-  the per-stage core allocations (conserved, floored, applied through
-  :meth:`~repro.cluster.machine.Cluster.set_node_allocation`), the
-  per-coupling bandwidth shares (conserved, applied through
-  :meth:`~repro.workflow.context.CouplingContext.set_bandwidth_share`) and the
+  the per-stage core allocations (conserved, floored, applied as each node's
+  ``"elastic"`` factor through
+  :meth:`~repro.cluster.node.ComputeNode.set_rate_factor`), the
+  per-coupling bandwidth shares (conserved, applied as each coupling's
+  ``"elastic"`` factor through
+  :meth:`~repro.workflow.context.CouplingContext.set_rate_factor`) and the
   :class:`~repro.elastic.policy.RebalanceEvent` timeline;
 * :class:`ElasticController` is the PR 3 *threshold* (bang-bang) decision
   layer on top of it, and
@@ -34,7 +36,9 @@ share from the idlest lender (never driving the lender below
 
 A controller whose policy never triggers observes but never mutates model
 state; such a run is bit-identical to a static run (the controller's own
-wake-up events are subtracted from the reported event totals).
+wake-up events are subtracted from the reported event totals).  Because a
+controller may re-rate nodes at any epoch, a run with one never coalesces
+compute (see :attr:`~repro.workflow.runner.PipelineRunner.rates_fixed`).
 """
 
 from __future__ import annotations
@@ -128,17 +132,6 @@ class ElasticControllerBase:
         """Simulation events this controller's instrumentation consumed."""
         return self._clock.events_consumed if self._clock is not None else 0
 
-    @property
-    def next_epoch_time(self) -> float:
-        """Simulated time of the next epoch decision (``inf`` when idle).
-
-        Everything a controller may mutate mid-run — allocation scales,
-        bandwidth shares, assist-rank census — changes only at these
-        instants, so the runner's compute coalescing uses this as the
-        deadline beyond which a fast-forwarded segment may not reach.
-        """
-        return self._clock.next_wakeup if self._clock is not None else float("inf")
-
     # -- epoch loop ---------------------------------------------------------
     def _on_epoch(self, now: float) -> None:
         self.epoch += 1
@@ -200,21 +193,17 @@ class ElasticControllerBase:
         node cannot use: with ``d`` of ``n`` nodes degraded, healthy nodes
         run at ``scale * n / (n - d)`` while degraded nodes keep the plain
         ``scale`` (a crashed node's cores are seized anyway; a straggler
-        stays derated through its fault scale).  With no degraded nodes
-        this is exactly the uniform re-rate, so fault-free runs are
+        stays derated through its ``"fault"`` factor).  With no degraded
+        nodes this is exactly the uniform re-rate, so fault-free runs are
         bit-identical to the pre-fault engine.
         """
-        nodes = self._stage_nodes[name]
-        cluster = self.ctx.cluster
-        degraded = [node_id for node_id in nodes if cluster.node(node_id).degraded]
-        if degraded and len(degraded) < len(nodes):
-            healthy = [
-                node_id for node_id in nodes if not cluster.node(node_id).degraded
-            ]
-            cluster.set_node_allocation(healthy, scale * len(nodes) / len(healthy))
-            cluster.set_node_allocation(degraded, scale)
-        else:
-            cluster.set_node_allocation(nodes, scale)
+        nodes = [self.ctx.cluster.node(node_id) for node_id in self._stage_nodes[name]]
+        degraded = sum(node.degraded for node in nodes)
+        healthy_scale = scale
+        if 0 < degraded < len(nodes):
+            healthy_scale = scale * len(nodes) / (len(nodes) - degraded)
+        for node in nodes:
+            node.set_rate_factor("elastic", scale if node.degraded else healthy_scale)
 
     # -- bandwidth-lease mechanism -------------------------------------------
     def _leasable(self, name: str) -> bool:
@@ -228,8 +217,8 @@ class ElasticControllerBase:
     ) -> None:
         self.bandwidth_shares[donor] -= amount
         self.bandwidth_shares[receiver] += amount
-        self.ctx.coupling(donor).set_bandwidth_share(self.bandwidth_shares[donor])
-        self.ctx.coupling(receiver).set_bandwidth_share(self.bandwidth_shares[receiver])
+        for name in (donor, receiver):
+            self.ctx.coupling(name).set_rate_factor("elastic", self.bandwidth_shares[name])
         self.timeline.append(
             RebalanceEvent(
                 time=now,

@@ -2,11 +2,14 @@
 
 The :class:`FaultInjector` is an ordinary simulated process: it sleeps to
 each scheduled fault time with the engine's own pooled timeouts, mutates
-the cluster/coupling state (compute fault scale, link bandwidth, transport
-bandwidth share), and records every transition as a
-:class:`~repro.faults.plan.FaultEvent`.  Because the schedule is fixed at
-construction and every mutation is driven by the deterministic event loop,
-an identical re-run reproduces the exact fault timeline.
+the cluster/coupling state (a node's or a coupling's ``"fault"`` rate
+factor, link bandwidth), and records every transition as a
+:class:`~repro.faults.plan.FaultEvent`.  It writes only its own rate
+factor, so a transport restart composes with the elastic controller's
+bandwidth lease and the tenant share instead of overwriting them.  Because
+the schedule is fixed at construction and every mutation is driven by the
+deterministic event loop, an identical re-run reproduces the exact fault
+timeline.
 
 Crash handling is the one runtime-dependent piece: a ``node_crash`` seizes
 every core slot of the victim node (in-flight compute drains first, new
@@ -14,10 +17,9 @@ work queues behind the seizure), holds them for a downtime computed from
 the work lost since the stage's last checkpoint plus the plan's fixed
 recovery cost, and then releases the node — forcing any elastic assist
 rank on the stage through the runner's ``retire_rank``/``spawn_rank``
-lifecycle.  While a crash's recovery instant is not yet pinned,
-:attr:`FaultInjector.next_fault_time` returns the current time so compute
-coalescing declines to fast-forward across it; once pinned, the instant
-bounds batch deadlines exactly like the elastic controller's next epoch.
+lifecycle.  Since a fault may re-rate a node or seize its cores at any
+instant, a run with an injector never coalesces compute (see
+:attr:`~repro.workflow.runner.PipelineRunner.rates_fixed`).
 
 Injector events are *not* subtracted from ``events_processed``: faults are
 modelled workload, so their events are part of the run.  The required
@@ -63,11 +65,6 @@ class FaultInjector:
         entries.sort(key=lambda entry: (entry[0], entry[1]))
         self._schedule = entries
         self._cursor = 0
-        #: Recovery instants of in-progress crashes whose end time is known.
-        self._pending_recoveries: List[float] = []
-        #: Crashes still draining the victim node; their recovery instant is
-        #: not determined yet, so coalescing must not fast-forward at all.
-        self._unpinned_crashes = 0
 
     def _validate_target(self, spec: FaultSpec) -> None:
         """Fail at construction if a spec names an unknown stage/coupling."""
@@ -85,25 +82,6 @@ class FaultInjector:
                 raise ValueError(
                     f"fault plan names unknown stage {spec.target!r}"
                 ) from None
-
-    @property
-    def next_fault_time(self) -> float:
-        """Earliest instant the injector may next mutate simulation state.
-
-        Compute coalescing treats this exactly like the elastic
-        controller's ``next_epoch_time``: a batch may not fast-forward past
-        it, so every fault lands on the same engine state the per-event
-        path would have seen.  Returns ``inf`` once the plan is exhausted.
-        """
-        if self._unpinned_crashes:
-            return self.ctx.env.now
-        when = math.inf
-        if self._cursor < len(self._schedule):
-            when = self._schedule[self._cursor][0]
-        for pending in self._pending_recoveries:
-            if pending < when:
-                when = pending
-        return when
 
     def start(self) -> None:
         """Spawn the injector process (call once, before ``env.run``)."""
@@ -143,7 +121,7 @@ class FaultInjector:
     def _inject(self, spec: FaultSpec) -> None:
         if spec.kind == "straggler":
             rank, node = self._victim_node(spec)
-            node.set_fault_scale(1.0 / spec.severity)
+            node.set_rate_factor("fault", 1.0 / spec.severity)
             node.degraded = True
             self._record(
                 spec,
@@ -168,13 +146,13 @@ class FaultInjector:
             )
         else:  # transport_restart
             cctx = self.ctx.coupling(spec.target)
-            cctx.set_bandwidth_share(cctx.lease_share * spec.severity)
+            cctx.set_rate_factor("fault", cctx.rate_factor("fault") * spec.severity)
             self._record(spec, "inject", {"share": float(cctx.bandwidth_share)})
 
     def _recover(self, spec: FaultSpec) -> None:
         if spec.kind == "straggler":
             rank, node = self._victim_node(spec)
-            node.set_fault_scale(1.0)
+            node.set_rate_factor("fault", 1.0)
             node.degraded = False
             self._record(
                 spec,
@@ -197,7 +175,7 @@ class FaultInjector:
             )
         else:  # transport_restart
             cctx = self.ctx.coupling(spec.target)
-            cctx.set_bandwidth_share(cctx.lease_share / spec.severity)
+            cctx.set_rate_factor("fault", cctx.rate_factor("fault") / spec.severity)
             self._record(spec, "recover", {"share": float(cctx.bandwidth_share)})
 
     def _crash_downtime(self, spec: FaultSpec, rank: int, node: "ComputeNode") -> Tuple[float, float]:
@@ -226,27 +204,17 @@ class FaultInjector:
 
         In-flight compute drains first (its durations were frozen at issue
         time), new work queues behind the seizure, and the node-local fast
-        paths observe the waiters and fall back to the queued path.  The
-        recovery instant is pinned into :attr:`next_fault_time`'s sources
-        the moment every slot is held; until then the injector reports the
-        current time so no batch can fast-forward across the crash.
-        Returns the pinned recovery instant (the caller unpins it once the
-        post-recovery mutations are done).
+        paths observe the waiters and fall back to the queued path.
         """
         env = self.ctx.env
         cores = node.cores
-        self._unpinned_crashes += 1
         requests = [cores.request() for _ in range(node.spec.cores)]
         for request in requests:
             yield request
-        end = env.now + downtime
-        self._pending_recoveries.append(end)
-        self._unpinned_crashes -= 1
         if downtime > 0:
             yield env.sleep(downtime)
         for request in requests:
             cores.release(request)
-        return end
 
     def _crash_process(self, spec: FaultSpec) -> Generator:
         """Crash one rank's node: drain, hold for the downtime, respawn."""
@@ -268,7 +236,7 @@ class FaultInjector:
                 "downtime": downtime,
             },
         )
-        end = yield from self._seize_and_hold(node, downtime)
+        yield from self._seize_and_hold(node, downtime)
         node.degraded = False
         if retired:
             runner.spawn_rank(spec.target)
@@ -282,4 +250,3 @@ class FaultInjector:
                 "downtime": downtime,
             },
         )
-        self._pending_recoveries.remove(end)

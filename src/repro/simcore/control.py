@@ -12,6 +12,12 @@ every modelled quantity exactly as it would have been without the controller.
 The controller counts the events it consumed (:attr:`PeriodicController.events_consumed`)
 so harnesses that report event totals can subtract the instrumentation cost
 and keep "no-op controller" runs bit-identical to uncontrolled ones.
+
+A callback that *does* act may re-rate the model at any wake-up, and the
+controller publishes no look-ahead of its next one.  A fast path that folds a
+stretch of simulated time into one event is therefore off for the whole of a
+run that has a controller (see
+:attr:`~repro.workflow.runner.PipelineRunner.rates_fixed`).
 """
 
 from __future__ import annotations
@@ -63,13 +69,11 @@ class PeriodicController:
         self.name = name
         self.wakeups = 0
         self._process: Optional[Process] = None
-        self._next_wakeup = float("inf")
 
     def start(self) -> Process:
         """Spawn the controller process (idempotent per instance)."""
         if self._process is not None:
             raise RuntimeError(f"controller {self.name!r} already started")
-        self._next_wakeup = self.env.now + self.interval
         self._process = self.env.process(self._run())
         return self._process
 
@@ -89,24 +93,12 @@ class PeriodicController:
             return 0
         return 1 + self.wakeups
 
-    @property
-    def next_wakeup(self) -> float:
-        """Simulated time of the next scheduled wake-up (``inf`` when idle).
-
-        Fast paths that must not run past a control decision (compute
-        coalescing) treat this as their deadline: any state the callback may
-        mutate is only ever mutated at these instants.
-        """
-        return self._next_wakeup
-
     def _run(self) -> Generator[Timeout, Any, None]:
         while True:
             yield Timeout(self.env, self.interval)
             self.wakeups += 1
             if self.callback(self.env.now) is False:
-                self._next_wakeup = float("inf")
                 return
-            self._next_wakeup = self.env.now + self.interval
 
     def __repr__(self) -> str:
         return (

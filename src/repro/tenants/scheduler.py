@@ -10,12 +10,11 @@ jobs, and records every transition as a
 private cluster model — advanced segment by segment through
 :meth:`~repro.workflow.runner.PipelineRunner.advance` (a job's local clock
 is facility time minus its admit time).  Shares change *only* at epoch
-boundaries, through the third orthogonal rate factor
-(:meth:`~repro.cluster.machine.Cluster.set_tenant_scale` and
-:meth:`~repro.workflow.context.CouplingContext.set_tenant_share`), so a
+boundaries, through the ``"tenant"`` rate factor of every node and coupling
+of the job (:meth:`~repro.cluster.node.ComputeNode.set_rate_factor` and
+:meth:`~repro.workflow.context.CouplingContext.set_rate_factor`), so a
 contended run is deterministic, replayable from its timeline, and composes
-cleanly with the elastic controller's allocation scale and the fault
-injector's fault scale.
+cleanly with the elastic controller's and the fault injector's factors.
 
 Two policies (see :data:`~repro.tenants.spec.POLICIES`):
 
@@ -26,7 +25,10 @@ Two policies (see :data:`~repro.tenants.spec.POLICIES`):
 * ``fair`` — weighted fair share: every waiting job is admitted at the next
   boundary and the capacity is water-filled across the active set by
   weight, each job's compute *and* coupling bandwidth scaled to
-  ``grant/demand``.
+  ``grant/demand``.  Since a share may move at any boundary, the scheduler
+  clears :attr:`~repro.workflow.runner.PipelineRunner.rates_fixed` on every
+  job it admits, so fair-share jobs never coalesce compute; FCFS jobs run
+  dedicated and keep it.
 
 The facility environment's own events (the scheduler's boundary sleeps)
 are instrumentation, not modelled workload — exactly like the elastic
@@ -169,9 +171,7 @@ class TenantScheduler:
                 boundary += 1
                 continue
             self._admit(waiting, active, now, capacity)
-            contended = self._apply_shares(
-                active, now, capacity, more_jobs_coming=bool(waiting or pending)
-            )
+            contended = self._apply_shares(active, now, capacity)
             horizon = (boundary + 1) * epoch
             for name in sorted(active):
                 run = active[name]
@@ -211,6 +211,8 @@ class TenantScheduler:
                 job.pipeline.replace(trace=True) if spec.trace else job.pipeline
             )
             runner = PipelineRunner(pipeline)
+            if spec.policy == "fair":
+                runner.rates_fixed = False
             runner.start()
             active[job.name] = _JobRun(job, runner, now)
             used += job.demand
@@ -227,19 +229,12 @@ class TenantScheduler:
             )
 
     def _apply_shares(
-        self,
-        active: Dict[str, _JobRun],
-        now: float,
-        capacity: float,
-        more_jobs_coming: bool,
+        self, active: Dict[str, _JobRun], now: float, capacity: float
     ) -> bool:
         """Partition the facility across the active jobs; returns contention."""
-        spec = self.spec
-        if spec.policy == "fcfs":
+        if self.spec.policy == "fcfs":
             # Admission guaranteed the active demands fit: every job runs
-            # dedicated, shares never move, coalescing stays unbounded.
-            for run in active.values():
-                run.runner.next_external_change = float("inf")
+            # dedicated and its shares never move.
             return False
         demands = {name: float(run.job.demand) for name, run in active.items()}
         weights = {name: run.job.weight for name, run in active.items()}
@@ -250,23 +245,16 @@ class TenantScheduler:
             share = grants[name] / demands[name]
             if share != run.share:
                 self._apply_share(run, share, grants[name], demands[name], now)
-            # Shares can move again only while the facility is contended or
-            # more jobs may join; otherwise the coalescing fast path may
-            # batch freely (the run is indistinguishable from dedicated).
-            run.runner.next_external_change = (
-                (now + spec.epoch_seconds) - run.admit
-                if (contended or more_jobs_coming)
-                else float("inf")
-            )
         return contended
 
     def _apply_share(
         self, run: _JobRun, share: float, grant: float, demand: float, now: float
     ) -> None:
         """Apply one job's new facility share to its cluster and couplings."""
-        run.runner.cluster.set_tenant_scale(share)
+        for node in run.runner.cluster.nodes:
+            node.set_rate_factor("tenant", share)
         for cctx in run.runner.ctx.couplings:
-            cctx.set_tenant_share(share)
+            cctx.set_rate_factor("tenant", share)
         self._record(
             now,
             "share",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.machine import Cluster
+from repro.cluster.node import RateFactors
 from repro.cluster.spec import ClusterSpec
 from repro.simmpi.comm import Communicator
 from repro.trace import Tracer
@@ -265,13 +266,10 @@ class CouplingContext:
         #: Per-coupling statistics channel (merged into the run's aggregate
         #: stats when the result is assembled).
         self.stats: Dict[str, float] = defaultdict(float)
-        # Bandwidth lease state: the share of its fair bandwidth this
-        # coupling currently drains at (1.0 = the static fair share).  Two
-        # orthogonal factors compose into the observable bandwidth_share:
-        # the elastic/fault lease (moved between couplings mid-run) and the
-        # tenant share (the owning job's slice of the shared facility).
-        self._lease_share: float = 1.0
-        self._tenant_share: float = 1.0
+        # The share of its fair bandwidth this coupling currently drains at
+        # (1.0 = the static fair share): the product of its rate factors.
+        self._factors = RateFactors()
+        self._share = 1.0
         #: Per-source-rank producer-buffer occupancy in blocks, reported by
         #: transports through :meth:`note_buffer_level` (empty when the
         #: transport does not report occupancy).
@@ -395,50 +393,35 @@ class CouplingContext:
             **meta,
         )
 
-    # -- elastic/tenant hooks ------------------------------------------------
+    # -- rate factors and monitor hooks ---------------------------------------
     @property
     def bandwidth_share(self) -> float:
         """The bandwidth scale transports apply to every issued transfer.
 
-        The product of the elastic/fault *lease* (:attr:`lease_share`) and
-        the owning tenant's facility share; both default to 1.0, so a
-        dedicated, unleased coupling drains at its static fair bandwidth.
+        The product of this coupling's rate factors (see
+        :meth:`set_rate_factor`); 1.0 for a dedicated, unleased, healthy
+        coupling, which drains at its static fair bandwidth.
         """
-        return self._lease_share * self._tenant_share
+        return self._share
 
-    @property
-    def lease_share(self) -> float:
-        """The elastic/fault lease factor alone (excludes the tenant share)."""
-        return self._lease_share
+    def rate_factor(self, owner: str) -> float:
+        """The bandwidth factor ``owner`` last set (1.0 until it does)."""
+        return self._factors[owner]
 
-    def set_bandwidth_share(self, share: float) -> None:
-        """Set this coupling's bandwidth lease (elastic work stealing).
+    def set_rate_factor(self, owner: str, factor: float) -> None:
+        """Set ``owner``'s factor of this coupling's :attr:`bandwidth_share`.
 
+        The share multiplies the :data:`~repro.cluster.node.RATE_OWNERS`
+        factors in order: the elastic bandwidth lease, the fault injector's
+        transport-restart derating and the owning tenant's facility share.
         Transports consult :attr:`bandwidth_share` when issuing transfers
         (via :meth:`~repro.transports.base.Transport.transfer_sim_to_analysis`
         and the file-system ``rate_scale`` argument), so the new share takes
         effect for every operation *issued* after this call; in-flight
-        operations keep the rate frozen at issue time.  Writers that scale
-        the lease relatively (the fault injector's transport restarts) must
-        read back :attr:`lease_share`, not :attr:`bandwidth_share` — the
-        latter folds in the tenant share, which this setter does not own.
+        operations keep the rate frozen at issue time.
         """
-        if share <= 0:
-            raise ValueError("bandwidth share must be positive")
-        self._lease_share = float(share)
-
-    def set_tenant_share(self, share: float) -> None:
-        """Set the owning tenant's slice of the shared facility's bandwidth.
-
-        The tenant scheduler's counterpart to
-        :meth:`~repro.cluster.machine.Cluster.set_tenant_scale`: orthogonal
-        to the elastic/fault lease, composed multiplicatively into
-        :attr:`bandwidth_share`, effective for operations issued after the
-        call.
-        """
-        if share <= 0:
-            raise ValueError("tenant share must be positive")
-        self._tenant_share = float(share)
+        self._factors.set(owner, factor)
+        self._share = self._factors.times(1.0)
 
     def note_buffer_level(self, rank: int, level: float) -> None:
         """Report one source rank's instantaneous buffer occupancy (in blocks).

@@ -184,12 +184,13 @@ class PipelineRunner:
             if pipeline.faults is not None and pipeline.faults.specs
             else None
         )
-        #: Earliest instant an *external* co-scheduler (the tenant layer) may
-        #: next change this run's rates.  ``inf`` for dedicated runs — the
-        #: coalescing fast path then ignores it entirely, so a run that is
-        #: never contended stays bit-identical to the pre-tenant engine.
-        #: Owners must express the instant in this run's local clock.
-        self.next_external_change: float = float("inf")
+        #: Whether no layer can re-rate this run while it executes, the one
+        #: condition under which source stages coalesce compute (a batch
+        #: folds the rate in force when it starts).  False with an elastic
+        #: controller or a fault injector; a co-scheduler that re-rates the
+        #: run from outside (the fair-share tenant scheduler) clears it
+        #: before :meth:`start`.
+        self.rates_fixed = self.elastic_controller is None and self.fault_injector is None
         # Segmented-execution state (see start/advance/finish): the pending
         # all-stages completion event and the failure latch.
         self._completion: Optional[AllOf] = None
@@ -358,9 +359,9 @@ class PipelineRunner:
         interactions are coalesced through
         :meth:`~repro.cluster.node.ComputeNode.compute_batch`: one event per
         step when every step ends in transport puts, one event for the whole
-        remaining run when there are no outbound couplings.  A pending
-        elastic epoch bounds every fast-forward so mid-run reallocations
-        still land exactly between the same steps as on the slow path.
+        remaining run when there are no outbound couplings.  Only a run whose
+        :attr:`rates_fixed` holds coalesces, so no re-rate can land inside a
+        fast-forwarded segment.
         """
         ctx = self.ctx
         env = ctx.env
@@ -385,10 +386,11 @@ class PipelineRunner:
         out_bytes = ctx.stage_output_bytes[stage_name]
         puts = tuple((cctx, self.transports[cctx.name]) for cctx in outbound)
         coalescable = (
-            self.pipeline.coalesce and not self.tracer.enabled and not halo_active
+            self.pipeline.coalesce
+            and self.rates_fixed
+            and not self.tracer.enabled
+            and not halo_active
         )
-        controller = self.elastic_controller
-        injector = self.fault_injector
         pools = self._assist_pools
 
         step = 0
@@ -397,34 +399,9 @@ class PipelineRunner:
             pool = pools.get(stage_name)
             if coalescable and node.can_batch and (pool is None or pool.active <= 0):
                 # With no outbound couplings there is no interaction until the
-                # end of the run, so the whole remaining step range coalesces
-                # — unless a controller, fault injector or external tenant
-                # scheduler may intervene, in which case segments stay one
-                # step long and bounded by the next epoch/fault/share instant.
-                external = self.next_external_change
-                window = (
-                    1
-                    if (
-                        puts
-                        or controller is not None
-                        or injector is not None
-                        or external != float("inf")
-                    )
-                    else steps - step
-                )
-                deadline = (
-                    controller.next_epoch_time
-                    if controller is not None
-                    else float("inf")
-                )
-                if injector is not None:
-                    fault_deadline = injector.next_fault_time
-                    if fault_deadline < deadline:
-                        deadline = fault_deadline
-                if external < deadline:
-                    deadline = external
+                # end of the run, so the whole remaining step range coalesces.
                 elapsed = yield from node.compute_batch(
-                    chunks, steps=window, deadline=deadline
+                    chunks, steps=1 if puts else steps - step
                 )
                 if elapsed is not None:
                     for span in elapsed:
@@ -441,9 +418,8 @@ class PipelineRunner:
                         step += 1
                         step_start = env.now
                     continue
-                # The batch declined (an epoch decision lands inside this
-                # step): run the exact per-phase sequence below, which sees
-                # any mid-step reallocation or assist spawn chunk by chunk.
+                # The batch declined (a transient core holder): run the
+                # exact per-phase sequence below.
             compute_this_step = 0.0
             for (phase, _fraction), chunk in zip(phases, chunks):
                 phase_start = env.now

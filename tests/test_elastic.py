@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import permutations
 
 import pytest
 
@@ -13,9 +14,10 @@ from repro.bench.experiments import (
     elastic_vs_static_spec,
 )
 from repro.cluster.presets import bridges, laptop
-from repro.cluster import Cluster
+from repro.cluster import RATE_OWNERS, Cluster
 from repro.elastic import ElasticPolicy, RebalanceEvent
 from repro.elastic.monitor import CouplingHealth, EpochHealth, StageHealth
+from repro.faults import FaultPlan, FaultSpec
 from repro.simcore import CounterDeltas, Environment, PeriodicController, Timeout
 from repro.sweep.runner import SweepRunner
 from repro.sweep.store import result_payload
@@ -165,23 +167,50 @@ class TestNodeAllocation:
 
         cluster.env.process(work())
         cluster.run()
-        node.set_allocation_scale(2.0)
+        node.set_rate_factor("elastic", 2.0)
         cluster.env.process(work())
         cluster.run()
         assert durations[1] == pytest.approx(durations[0] / 2.0)
-        assert node.allocation_scale == 2.0
+        assert node.rate_factor("elastic") == 2.0
 
-    def test_invalid_scale_rejected(self):
-        cluster = Cluster(laptop(), num_nodes=1)
-        with pytest.raises(ValueError):
-            cluster.node(0).set_allocation_scale(0.0)
 
-    def test_cluster_helper_applies_to_group(self):
-        cluster = Cluster(laptop(), num_nodes=3)
-        cluster.set_node_allocation([0, 2], 0.5)
-        assert cluster.node(0).allocation_scale == 0.5
-        assert cluster.node(1).allocation_scale == 1.0
-        assert cluster.node(2).allocation_scale == 0.5
+def rate_holder(kind):
+    """A fresh holder of a rate-factor table and a reader of its rate."""
+    if kind == "node":
+        node = Cluster(laptop(), num_nodes=1).node(0)
+        return node, lambda: node._rate
+    coupling = PipelineRunner(lease_pipeline()).ctx.couplings[0]
+    return coupling, lambda: coupling.bandwidth_share
+
+
+class TestRateFactors:
+    """Nodes and couplings share one validated, ordered rate-factor table."""
+
+    @pytest.mark.parametrize("owner", RATE_OWNERS)
+    @pytest.mark.parametrize("kind", ["node", "coupling"])
+    def test_rejected_write_changes_nothing(self, kind, owner):
+        holder, rate = rate_holder(kind)
+        holder.set_rate_factor(owner, 0.5)
+        before = rate()
+        for factor in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                holder.set_rate_factor(owner, factor)
+        with pytest.raises(KeyError):
+            holder.set_rate_factor("fabric", 0.5)
+        with pytest.raises(KeyError):
+            holder.rate_factor("fabric")
+        assert holder.rate_factor(owner) == 0.5
+        assert rate() == before
+
+    @pytest.mark.parametrize("kind", ["node", "coupling"])
+    def test_factors_multiply_in_owner_order_whatever_the_write_order(self, kind):
+        factors = {"elastic": 1.3, "fault": 0.7, "tenant": 0.9}
+        for order in permutations(RATE_OWNERS):
+            holder, rate = rate_holder(kind)
+            base = rate()
+            for owner in order:
+                holder.set_rate_factor(owner, factors[owner])
+            assert rate() == ((base * 1.3) * 0.7) * 0.9, order
 
 
 # -- bursty workload model ----------------------------------------------------
@@ -426,7 +455,7 @@ class TestBandwidthLeases:
                     CouplingSpec("simulation", "analysis", transport="mpiio"),
                 ))
             )
-            runner.ctx.couplings[0].set_bandwidth_share(share)
+            runner.ctx.couplings[0].set_rate_factor("elastic", share)
             return runner.run().end_to_end_time
 
         assert run_with_share(0.5) > run_with_share(1.0)
@@ -442,10 +471,53 @@ class TestBandwidthLeases:
                     CouplingSpec("simulation", "analysis", transport=transport),
                 ))
             )
-            runner.ctx.couplings[0].set_bandwidth_share(share)
+            runner.ctx.couplings[0].set_rate_factor("elastic", share)
             return runner.run().end_to_end_time
 
         assert run_with_share(0.5) > run_with_share(1.0)
+
+    def test_transport_restart_composes_with_the_lease(self):
+        """A restart window derates the lease instead of being erased by it.
+
+        ``simB->analysisB`` lends share at the 0.25 s and 0.5 s epochs while
+        a restart halves its bandwidth from 0.15 s to 0.65 s.  Recovery must
+        leave the coupling at exactly the lease the rebalance timeline
+        replays to, and the run must end with every coupling at the share
+        the controller booked.
+        """
+        policy = ElasticPolicy(
+            epoch_seconds=0.25,
+            stage_resize=False,
+            work_stealing=True,
+            starved_threshold=0.05,
+            lease_step=0.25,
+        )
+        restart = FaultSpec(
+            kind="transport_restart",
+            time=0.15,
+            target="simB->analysisB",
+            duration=0.5,
+            severity=0.5,
+        )
+        runner = PipelineRunner(
+            lease_pipeline(elastic=policy).replace(faults=FaultPlan(specs=(restart,)))
+        )
+        result = runner.run()
+        recoveries = [e for e in result.faults if e.action == "recover"]
+        assert recoveries, "the restart must recover mid-run"
+        for event in recoveries:
+            lease = 1.0
+            for rebalance in result.rebalances:
+                if rebalance.kind != "bandwidth_lease" or rebalance.time > event.time:
+                    continue
+                if rebalance.donor == event.target:
+                    lease -= rebalance.amount
+                elif rebalance.receiver == event.target:
+                    lease += rebalance.amount
+            assert event.detail["share"] == lease == 0.5
+        controller = runner.elastic_controller
+        for cctx in runner.ctx.couplings:
+            assert cctx.bandwidth_share == controller.bandwidth_shares[cctx.name]
 
     def test_non_leasable_couplings_never_lend(self):
         policy = ElasticPolicy(epoch_seconds=0.25, stage_resize=False)

@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.costs import MiB, synthetic_workload
 from repro.bench.experiments import (
     elastic_burst_pipeline,
+    elastic_default_policy,
     figure2_configs,
     model_driven_default_policy,
     pipeline_chain,
     pipeline_fanout,
 )
 from repro.cluster.machine import Cluster
+from repro.cluster.node import ComputeNode
 from repro.cluster.presets import bridges
 from repro.elastic import ModelDrivenPolicy
+from repro.faults import FaultPlan, FaultSpec
 from repro.simcore import Environment, PooledTimeout, SimulationError
+from repro.tenants import JobSpec, TenantScheduler, TenantSpec
+from repro.workflow import CouplingSpec, PipelineSpec, StageSpec
 from repro.workflow.pipeline import lower_config
 from repro.workflow.runner import run_pipeline
 from repro.sweep.store import result_payload
@@ -185,21 +191,6 @@ class TestComputeFastPath:
 
         assert run(batched=True) == run(batched=False)
 
-    def test_compute_batch_declines_past_deadline(self):
-        env, node = self.make_node(claims=1)
-        outcome = []
-
-        def proc(env):
-            result = yield from node.compute_batch((1.0,), deadline=0.5)
-            outcome.append(result)
-            if result is None:
-                yield from node.compute(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert outcome == [None]
-        assert env.now == pytest.approx(1.0 / node.spec.core_speed)
-
     def test_fast_path_holds_a_visible_core_slot(self):
         """A fast-path compute occupies a slot, so contenders queue behind it.
 
@@ -350,6 +341,88 @@ class TestEventPoolingBitIdentity:
         assert env._release_pool, "release free list never warmed up"
 
 
+class TestCoalescingRule:
+    """A run coalesces compute only while no layer can re-rate it.
+
+    The source of a halo-free pipeline sends every step through
+    ``compute_batch`` unless an elastic controller, a fault injector or a
+    fair-share tenant scheduler may change its rates mid-run; dedicated
+    FCFS jobs keep coalescing.  Either way both engine paths persist equal
+    payloads.
+    """
+
+    @staticmethod
+    def pipeline():
+        """A synthetic producer -> consumer pair whose source has no halos."""
+        workload = synthetic_workload("O(n)", 8 * MiB, data_per_rank=128 * MiB)
+        return PipelineSpec(
+            stages=(
+                StageSpec("sim", workload, representative_ranks=4, total_ranks=128),
+                StageSpec("analysis", workload, representative_ranks=2, total_ranks=64),
+            ),
+            couplings=(CouplingSpec("sim", "analysis", transport="zipper"),),
+            cluster=bridges(),
+            total_cores=192,
+            trace=False,
+            seed=3,
+        )
+
+    def payload(self, layer, coalesce):
+        pipeline = self.pipeline().replace(coalesce=coalesce)
+        if layer == "elastic":
+            pipeline = pipeline.replace(elastic=elastic_default_policy())
+        elif layer == "faults":
+            straggler = FaultSpec(
+                kind="straggler", time=0.05, target="sim", duration=0.1, severity=2.0
+            )
+            pipeline = pipeline.replace(faults=FaultPlan(specs=(straggler,)))
+        if layer in ("fair", "fcfs"):
+            jobs = (JobSpec("a/0", "a", pipeline), JobSpec("b/0", "b", pipeline))
+            scheduler = TenantScheduler(TenantSpec(jobs=jobs, policy=layer))
+            # Drain the facility by hand: run() would add each job's
+            # dedicated baseline run, which coalesces.
+            scheduler.start()
+            scheduler.env.run()
+            payload = {
+                name: result_payload(result)
+                for name, result in scheduler.job_results.items()
+            }
+            payload["timeline"] = [(e.time, e.kind, e.job) for e in scheduler.timeline]
+            return payload
+        return result_payload(run_pipeline(pipeline))
+
+    @pytest.mark.parametrize(
+        "layer, coalesces",
+        [
+            ("none", True),
+            ("elastic", False),
+            ("faults", False),
+            ("fair", False),
+            ("fcfs", True),
+        ],
+    )
+    def test_batches_only_when_no_layer_can_rerate_the_run(
+        self, monkeypatch, layer, coalesces
+    ):
+        batched = []
+        original = ComputeNode.compute_batch
+
+        def spy(*args, **kwargs):
+            elapsed = yield from original(*args, **kwargs)
+            batched.append(elapsed is not None)
+            return elapsed
+
+        monkeypatch.setattr(ComputeNode, "compute_batch", spy)
+        fast = self.payload(layer, coalesce=True)
+        assert any(batched) if coalesces else batched == []
+        assert fast == self.payload(layer, coalesce=False)
+        if layer == "faults":
+            assert fast.get("faults"), "the plan must actually fire mid-run"
+        if layer == "fair":
+            kinds = [kind for _time, kind, _job in fast["timeline"]]
+            assert "share" in kinds, "the two jobs must actually share the facility"
+
+
 class TestElasticCoalescingBitIdentity:
     def bursty(self, **overrides):
         return elastic_burst_pipeline(sim_cores=192, steps=12).replace(**overrides)
@@ -387,7 +460,7 @@ class TestElasticCoalescingBitIdentity:
 
 
 class TestFaultCoalescingBitIdentity:
-    """An active fault plan bounds batch deadlines exactly like an epoch."""
+    """An active fault plan changes no result between the two engine paths."""
 
     def seeded_plan(self, pipeline):
         from repro.faults import FaultPlan

@@ -206,17 +206,12 @@ class TestCheckpointRecoveryModel:
 class TestDegradedNodeBookkeeping:
     def test_fault_scale_composes_into_the_node_rate(self):
         node = Cluster(bridges(), num_nodes=1).node(0)
-        node.set_allocation_scale(2.0)
-        node.set_fault_scale(0.25)
-        assert node.fault_scale == 0.25
+        node.set_rate_factor("elastic", 2.0)
+        node.set_rate_factor("fault", 0.25)
+        assert node.rate_factor("fault") == 0.25
         assert node._rate == pytest.approx(node.spec.core_speed * 2.0 * 0.25)
-        node.set_fault_scale(1.0)
+        node.set_rate_factor("fault", 1.0)
         assert node._rate == pytest.approx(node.spec.core_speed * 2.0)
-
-    def test_fault_scale_must_be_positive(self):
-        node = Cluster(bridges(), num_nodes=1).node(0)
-        with pytest.raises(ValueError):
-            node.set_fault_scale(0.0)
 
     def test_elastic_run_reroutes_around_the_same_plan(self):
         """With the identical fault schedule, elastic control beats static."""
