@@ -81,33 +81,34 @@ class WorkloadModel:
     analysis_burst_length: int = 1
 
     def __post_init__(self) -> None:
-        if self.sim_step_seconds < 0:
+        # Every check is written so that NaN fails it too.
+        if not self.sim_step_seconds >= 0:
             raise ValueError("sim_step_seconds must be non-negative")
-        if self.output_bytes_per_step <= 0:
+        if not self.output_bytes_per_step > 0:
             raise ValueError("output_bytes_per_step must be positive")
-        if self.steps <= 0:
+        if not self.steps > 0:
             raise ValueError("steps must be positive")
-        if self.analysis_seconds_per_byte < 0:
+        if not self.analysis_seconds_per_byte >= 0:
             raise ValueError("analysis_seconds_per_byte must be non-negative")
-        if self.halo_bytes < 0:
+        if not self.halo_bytes >= 0:
             raise ValueError("halo_bytes must be non-negative")
-        if self.halo_neighbors < 0:
+        if not self.halo_neighbors >= 0:
             raise ValueError("halo_neighbors must be non-negative")
-        if abs(sum(self.phase_fractions.values()) - 1.0) > 1e-6:
+        if not abs(sum(self.phase_fractions.values()) - 1.0) <= 1e-6:
             raise ValueError("phase_fractions must sum to 1")
-        if self.block_exponent < 1.0:
+        if not self.block_exponent >= 1.0:
             raise ValueError("block_exponent must be >= 1")
-        if self.reference_block_bytes <= 0:
+        if not self.reference_block_bytes > 0:
             raise ValueError("reference_block_bytes must be positive")
-        if self.analysis_burst_factor <= 0:
+        if not self.analysis_burst_factor > 0:
             raise ValueError("analysis_burst_factor must be positive")
-        if self.analysis_burst_period < 0:
+        if not self.analysis_burst_period >= 0:
             raise ValueError("analysis_burst_period must be non-negative")
-        if self.analysis_burst_length <= 0:
+        if not self.analysis_burst_length > 0:
             raise ValueError("analysis_burst_length must be positive")
         if (
             self.analysis_burst_period
-            and self.analysis_burst_length >= self.analysis_burst_period
+            and not self.analysis_burst_length < self.analysis_burst_period
         ):
             raise ValueError(
                 "analysis_burst_length must be smaller than "

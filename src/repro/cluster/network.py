@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
-from repro.simcore import Environment, RandomStreams, TallyMonitor
+from repro.simcore import Environment, RandomStreams
 from repro.cluster.counters import CounterRegistry
 from repro.cluster.spec import NetworkSpec
 
@@ -161,7 +161,6 @@ class Network:
         #: off the per-transfer hot path.
         self._leaf = [self.node_leaf(node) for node in range(num_nodes)]
 
-        self.transfer_stats = TallyMonitor("transfer_time")
         self.bytes_moved = 0
         self.messages_sent = 0
 
@@ -236,18 +235,14 @@ class Network:
         if nbytes == 0:
             # Pure synchronisation message: latency only.
             yield env.sleep(spec.latency + spec.per_message_overhead)
-            result = TransferResult(src, dst, 0, start, env.now, 0.0, 0.0, flow)
-            self.transfer_stats.observe(result.duration)
-            return result
+            return TransferResult(src, dst, 0, start, env.now, 0.0, 0.0, flow)
 
         if src == dst:
             duration = spec.per_message_overhead + nbytes / self.intra_node_bandwidth
             if self.jitter_cv > 0:
                 duration = self.rng.jitter("network.intra", duration, self.jitter_cv)
             yield env.sleep(duration)
-            result = TransferResult(src, dst, nbytes, start, env.now, 0.0, 0.0, flow)
-            self.transfer_stats.observe(result.duration)
-            return result
+            return TransferResult(src, dst, nbytes, start, env.now, 0.0, 0.0, flow)
 
         tx = self._inject[src]
         rx = self._eject[dst]
@@ -334,11 +329,7 @@ class Network:
                 load = stage.load - congestion_weight
                 stage.load = load if load > 0.0 else 0.0
 
-        result = TransferResult(
-            src, dst, nbytes, start, env.now, queued, stalled, flow
-        )
-        self.transfer_stats.observe(result.duration)
-        return result
+        return TransferResult(src, dst, nbytes, start, env.now, queued, stalled, flow)
 
     def scale_node_bandwidth(self, node: int, factor: float) -> None:
         """Scale one node's port bandwidths (used for under-filled modelled nodes).

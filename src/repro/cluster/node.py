@@ -197,7 +197,7 @@ class ComputeNode:
 
     def compute(self, reference_seconds: float) -> Generator:
         """Occupy one core for ``reference_seconds`` of reference-core work."""
-        if reference_seconds < 0:
+        if not reference_seconds >= 0:
             raise ValueError("reference_seconds must be non-negative")
         duration = reference_seconds / self._rate
         if self.jitter_cv > 0:
@@ -282,7 +282,7 @@ class ComputeNode:
         if not chunks:
             raise ValueError("compute_batch needs at least one chunk")
         for chunk in chunks:
-            if chunk < 0:
+            if not chunk >= 0:
                 raise ValueError("reference_seconds must be non-negative")
         env = self.env
         cores = self.cores

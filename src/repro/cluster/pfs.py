@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
-from repro.simcore import Environment, RandomStreams, TallyMonitor
+from repro.simcore import Environment, RandomStreams
 from repro.cluster.network import Network
 from repro.cluster.spec import FileSystemSpec
 
@@ -62,8 +62,6 @@ class ParallelFileSystem:
         self._active = 0.0
         self.bytes_written = 0
         self.bytes_read = 0
-        self.write_stats = TallyMonitor("pfs_write_time")
-        self.read_stats = TallyMonitor("pfs_read_time")
         #: per-"file" record of how many bytes exist, keyed by file name
         self._files: Dict[str, int] = {}
 
@@ -164,12 +162,10 @@ class ParallelFileSystem:
 
         if op == "write":
             self.bytes_written += int(nbytes)
-            self.write_stats.observe(env.now - start)
             if filename is not None:
                 self._files[filename] = self._files.get(filename, 0) + int(nbytes)
         else:
             self.bytes_read += int(nbytes)
-            self.read_stats.observe(env.now - start)
 
         return IOResult(node, nbytes, op, start, env.now)
 

@@ -54,7 +54,6 @@ KNOWN_EVENT_CLASSES: Tuple[str, ...] = (
     "Initialize",
     "ConditionEvent",
     "AllOf",
-    "AnyOf",
     "Request",
     "Release",
     "StorePut",
@@ -86,7 +85,6 @@ FACTORY_EVENTS: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "FilterStore": {"put": ("StorePut",), "get": ("StoreGet",)},
     "Container": {"put": ("ContainerPut",), "get": ("ContainerGet",)},
     "Resource": {"request": ("Request",), "release": ("Release",)},
-    "PriorityResource": {"request": ("Request",), "release": ("Release",)},
 }
 
 #: Method names that, called on an *unresolved* receiver, look like they may

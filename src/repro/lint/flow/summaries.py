@@ -82,7 +82,7 @@ _APPEND_METHODS = frozenset({"append", "appendleft", "add", "insert", "extend", 
 _PROTOCOL_CONTAINERS = frozenset({"_put_waiters", "_get_waiters", "_waiters", "callbacks"})
 
 #: Condition-style constructors that capture their member events.
-_CONDITION_CALLS = frozenset({"AllOf", "AnyOf", "ConditionEvent", "Condition"})
+_CONDITION_CALLS = frozenset({"AllOf", "ConditionEvent", "Condition"})
 
 #: E301's fast-path internals and crediting calls, mirrored exactly so F502
 #: is a strict interprocedural upgrade of the intraprocedural rule.

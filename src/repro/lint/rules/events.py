@@ -39,7 +39,6 @@ _EVENT_BASES = frozenset(
         "Process",
         "ConditionEvent",
         "AllOf",
-        "AnyOf",
         "Request",
         "Release",
         "StorePut",

@@ -10,17 +10,19 @@ cheap enough to run the CI smoke sweep under, precise enough that every trap
 names the violated contract.
 
 Enable it per environment (``Environment(sanitize=True)``) or globally for a
-whole run with ``REPRO_SANITIZE=1``.  Under sanitize the engine:
+whole run with ``REPRO_SANITIZE=1``; either way the kernel builds a
+:class:`~repro.simcore.engine.SanitizedEnvironment`, which:
 
 * installs guards on the global :mod:`random` module and the :mod:`time`
   clock readers that raise :class:`SanitizerTrap` whenever they are called
   *while a sanitized environment is executing an event* (instance-based
   :class:`~repro.simcore.rng.RandomStreams` generators are untouched — they
   are the sanctioned randomness);
-* **poisons** recyclable events instead of pooling them: the free lists stay
-  empty, every allocation is fresh, and a processed event is marked failed
-  with a :class:`SanitizerTrap` carrying a bumped generation counter — any
-  holder that touches it after recycling has the trap thrown into its frame
+* **poisons** recyclable events instead of pooling them: its free lists are
+  :class:`PoisonList` objects, which stay empty, so every allocation is
+  fresh, and a processed event is marked failed with a
+  :class:`SanitizerTrap` carrying a bumped generation counter — any holder
+  that touches it after recycling has the trap thrown into its frame
   instead of silently observing the event's next incarnation;
 * validates :meth:`~repro.simcore.engine.Environment.credit_events` calls
   (positive integer counts, only while an event is executing) so a fast
@@ -40,9 +42,10 @@ from __future__ import annotations
 import os
 import random
 import time
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
+    "PoisonList",
     "SanitizerTrap",
     "check_ordered",
     "default_enabled",
@@ -74,7 +77,7 @@ def default_enabled() -> bool:
 
 
 # -- the sanitized-step window -------------------------------------------
-#: Depth of sanitized ``Environment.step`` frames currently executing.  The
+#: Depth of ``SanitizedEnvironment.step`` frames currently executing.  The
 #: clock/random guards only trap while this is positive, so harness code
 #: (pytest, the sweep runner, the bench timer) keeps its wall clock.
 _stepping = 0
@@ -198,9 +201,9 @@ def guards_installed() -> bool:
 def poison_event(event: Any) -> None:
     """Mark a would-be-recycled event so any later touch traps.
 
-    Under sanitize the engine calls this *instead of* returning the event to
-    a free list, at exactly the points recycling would happen.  The event is
-    left processed-and-failed with a :class:`SanitizerTrap` value and a
+    :class:`PoisonList` calls this *instead of* keeping the event, at
+    exactly the points recycling would happen.  The event is left
+    processed-and-failed with a :class:`SanitizerTrap` value and a
     bumped ``_generation`` counter: a holder that yields it has the trap
     thrown into its generator frame; a holder that reads ``.value`` sees the
     trap object.  Because nothing is actually pooled, every allocation stays
@@ -217,6 +220,21 @@ def poison_event(event: Any) -> None:
         f"(generation {generation}) — pooled events must not outlive their "
         "step() dispatch; see docs/static-analysis.md"
     )
+
+
+class PoisonList(List[Any]):
+    """A free list that never pools: :meth:`append` poisons the event instead.
+
+    A :class:`~repro.simcore.engine.SanitizedEnvironment` holds its free
+    lists in these, so the kernel's own recycling code poisons every event
+    it would have pooled, and the list stays empty.
+    """
+
+    __slots__ = ()
+
+    def append(self, event: Any, /) -> None:
+        """Poison ``event`` (see :func:`poison_event`); keep nothing."""
+        poison_event(event)
 
 
 # -- order-sensitive boundaries ------------------------------------------

@@ -8,17 +8,18 @@ and the simulated Zipper runtime are built.
 
 The kernel is deliberately compact but complete:
 
-* :class:`Environment` — the simulation clock and event loop.
+* :class:`Environment` — the simulation clock and event loop;
+  ``Environment(sanitize=True)`` builds a :class:`SanitizedEnvironment`,
+  the same kernel with the :mod:`repro.sanitize` traps armed.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — the event primitives.
-* :class:`AllOf` / :class:`AnyOf` — composite events (used for ``MPI_Waitall``
-  style semantics).
+* :class:`AllOf` — the composite event (``MPI_Waitall`` style semantics).
 * :class:`Resource`, :class:`Store`, :class:`Container` — queuing resources.
-* :class:`Mutex`, :class:`Semaphore`, :class:`SimBarrier`,
-  :class:`ConditionVar` — synchronisation primitives (used for the lock
-  services of DataSpaces/DIMES and the producer-buffer condition variables of
-  Zipper's work-stealing writer thread).
+* :class:`SimBarrier`, :class:`ConditionVar`, :class:`OneShotSignal` —
+  synchronisation primitives (used for the collective barriers of the
+  simulated MPI layer, the step interlock of DataSpaces/DIMES, and the
+  producer-buffer condition variables of Zipper's work-stealing writer
+  thread).
 * :class:`RandomStreams` — named, reproducible random-number streams.
-* :class:`TimeSeriesMonitor`, :class:`TallyMonitor` — statistics collection.
 * :class:`PeriodicController`, :class:`CounterDeltas`, :class:`PIDSmoother` —
   periodic control-loop events, per-epoch counter deltas and PID smoothing
   (used by the elastic adaptation layer).
@@ -40,7 +41,6 @@ Example
 from repro.simcore.errors import (
     SimulationError,
     Interrupt,
-    StopProcess,
 )
 from repro.simcore.events import (
     Event,
@@ -48,54 +48,48 @@ from repro.simcore.events import (
     PooledTimeout,
     Process,
     AllOf,
-    AnyOf,
     ConditionEvent,
 )
-from repro.simcore.engine import Environment, EmptySchedule, POOLED_EVENT_CLASSES
+from repro.simcore.engine import (
+    Environment,
+    SanitizedEnvironment,
+    EmptySchedule,
+    POOLED_EVENT_CLASSES,
+)
 from repro.simcore.resources import (
     Resource,
-    PriorityResource,
     Store,
     FilterStore,
     Container,
 )
 from repro.simcore.sync import (
-    Mutex,
-    Semaphore,
     SimBarrier,
     ConditionVar,
     OneShotSignal,
 )
 from repro.simcore.rng import RandomStreams
-from repro.simcore.monitor import TimeSeriesMonitor, TallyMonitor
 from repro.simcore.control import PeriodicController, CounterDeltas, PIDSmoother
 
 __all__ = [
     "SimulationError",
     "Interrupt",
-    "StopProcess",
     "Event",
     "Timeout",
     "PooledTimeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "ConditionEvent",
     "Environment",
+    "SanitizedEnvironment",
     "EmptySchedule",
     "Resource",
-    "PriorityResource",
     "Store",
     "FilterStore",
     "Container",
-    "Mutex",
-    "Semaphore",
     "SimBarrier",
     "ConditionVar",
     "OneShotSignal",
     "RandomStreams",
-    "TimeSeriesMonitor",
-    "TallyMonitor",
     "PeriodicController",
     "CounterDeltas",
     "PIDSmoother",

@@ -7,6 +7,7 @@ from itertools import count
 from typing import Any, List, Optional, Tuple
 
 from repro import sanitize as _sanitize
+from repro.sanitize import PoisonList, SanitizerTrap
 from repro.simcore.errors import SimulationError
 from repro.simcore.events import (
     Event,
@@ -19,10 +20,7 @@ from repro.simcore.events import (
 )
 from repro.simcore.resources import Release, StoreGet, StorePut
 
-__all__ = ["Environment", "EmptySchedule", "Infinity", "POOLED_EVENT_CLASSES"]
-
-#: A time value larger than any event time the models use.
-Infinity = float("inf")
+__all__ = ["Environment", "SanitizedEnvironment", "EmptySchedule", "POOLED_EVENT_CLASSES"]
 
 #: Upper bound on the recycled-:class:`PooledTimeout` free list.  Generous
 #: enough for every rank of a large pipeline to have one sleep in flight;
@@ -78,11 +76,10 @@ class Environment:
         recycling changes which Python object carries an event, never the
         event order or ``events_processed``.
     sanitize:
-        Run with the :mod:`repro.sanitize` determinism traps armed:
-        clock/global-RNG guards during event execution, poisoned (never
-        reused) recyclable events, crediting validation, and
-        order-sensitivity checks.  ``None`` (the default) defers to the
-        ``REPRO_SANITIZE`` environment variable.
+        Build a :class:`SanitizedEnvironment` instead, which runs the same
+        kernel with the :mod:`repro.sanitize` determinism traps armed.
+        ``None`` (the default) defers to the ``REPRO_SANITIZE`` environment
+        variable.
 
     Notes
     -----
@@ -100,12 +97,27 @@ class Environment:
         "_timeout_pool",
         "_solo_callback",
         "_pool_events",
-        "_sanitize",
-        "_in_event",
         "_put_pool",
         "_get_pool",
         "_release_pool",
     )
+
+    #: Whether the runtime determinism sanitizer is armed (see
+    #: :class:`SanitizedEnvironment`).
+    sanitize = False
+
+    def __new__(
+        cls,
+        initial_time: float = 0.0,
+        *,
+        pool_events: bool = False,
+        sanitize: Optional[bool] = None,
+    ) -> "Environment":
+        if cls is Environment and (
+            _sanitize.default_enabled() if sanitize is None else sanitize
+        ):
+            return object.__new__(SanitizedEnvironment)
+        return object.__new__(cls)
 
     def __init__(
         self,
@@ -114,6 +126,7 @@ class Environment:
         pool_events: bool = False,
         sanitize: Optional[bool] = None,
     ):
+        # ``sanitize`` only chooses the class (see ``__new__``).
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
@@ -121,13 +134,9 @@ class Environment:
         self._events_processed = 0
         self._timeout_pool: List[PooledTimeout] = []
         self._pool_events = bool(pool_events)
-        self._sanitize = _sanitize.default_enabled() if sanitize is None else bool(sanitize)
-        self._in_event = False
         self._put_pool: List[StorePut] = []
         self._get_pool: List[StoreGet] = []
         self._release_pool: List[Release] = []
-        if self._sanitize:
-            _sanitize.install_guards()
         # True while step() is executing the callback of an event that had
         # exactly one.  In that window, a freshly created event that (a) is
         # already triggered and (b) faces an empty same-time horizon (no
@@ -159,11 +168,6 @@ class Environment:
         """Whether Store/Release events are recycled through free lists."""
         return self._pool_events
 
-    @property
-    def sanitize(self) -> bool:
-        """Whether the runtime determinism sanitizer is armed (see ``repro.sanitize``)."""
-        return self._sanitize
-
     def __repr__(self) -> str:
         return (
             f"<Environment t={self._now:.6g} queued={len(self._queue)} "
@@ -191,8 +195,8 @@ class Environment:
         immediately from exactly one process and never store or share it —
         it returns to the free list the moment it is processed.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay!r}")
         event = self._pooled_timeout()
         event._delay = delay
         heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
@@ -206,8 +210,10 @@ class Environment:
         the clock straight to it — scheduling by absolute time avoids the
         ``now + (end - now)`` round trip that would break bit-identity.
         """
-        if when < self._now:
-            raise SimulationError(f"sleep_until({when!r}) lies before now ({self._now!r})")
+        if not when >= self._now:
+            raise SimulationError(
+                f"invalid sleep_until({when!r}): not at or after now ({self._now!r})"
+            )
         event = self._pooled_timeout()
         event._delay = when - self._now
         heappush(self._queue, (when, NORMAL, next(self._eid), event))
@@ -243,24 +249,8 @@ class Environment:
         fast path credits exactly the events the equivalent slow path would
         have consumed, so the counter stays a *model* property — bit-stable
         for fixed seeds — rather than an engine implementation detail.
-
-        Under sanitize the count is validated: it must be a positive
-        integer, credited while an event is executing (a fast path only
-        ever elides queue trips from inside one) — anything else corrupts
-        the machine-independent count and traps immediately instead of
-        surfacing as a bit-identity diff three layers up.
+        :class:`SanitizedEnvironment` validates the count.
         """
-        if self._sanitize:
-            if count.__class__ is not int or count <= 0:
-                raise _sanitize.SanitizerTrap(
-                    f"sanitizer: credit_events({count!r}) — elided-event "
-                    "credits must be positive ints (docs/performance.md)"
-                )
-            if not self._in_event:
-                raise _sanitize.SanitizerTrap(
-                    "sanitizer: credit_events() outside event execution — "
-                    "fast paths elide queue trips only from within step()"
-                )
         self._events_processed += count
 
     def trigger_inplace(self, event: Event, value: Any = None) -> None:
@@ -307,23 +297,19 @@ class Environment:
         # Hot path: every timeout, message and process resumption goes through
         # here, so the zero-delay common case skips the float comparison work.
         if delay:
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay!r}")
+            if not delay >= 0:  # written so that NaN fails too
+                raise SimulationError(f"invalid delay {delay!r}")
             when = self._now + delay
         else:
             when = self._now
         heappush(self._queue, (when, priority, next(self._eid), event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        if not self._queue:
-            return Infinity
-        return self._queue[0][0]
-
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to its time)."""
-        if self._sanitize:
-            return self._sanitized_step()
+        """Process exactly one event (advancing the clock to its time).
+
+        Every event of every run loop, sanitized or not, enters here, so a
+        wrapper installed on ``Environment.step`` sees each dispatch once.
+        """
         queue = self._queue
         if not queue:
             raise EmptySchedule()
@@ -373,53 +359,6 @@ class Environment:
             # rather than silently dropping it.
             raise event._value
 
-    def _sanitized_step(self) -> None:
-        """The :meth:`step` body with the :mod:`repro.sanitize` traps armed.
-
-        A separate implementation so the unsanitized hot path pays exactly
-        one extra attribute test.  Differences: the clock/RNG guards are
-        active while callbacks run (``try/finally`` so a trap cannot leave
-        them armed), crediting is validated (``_in_event``), and recyclable
-        events are *poisoned* instead of pooled — the free lists stay empty
-        and any use-after-recycle trips a :class:`~repro.sanitize.SanitizerTrap`.
-        """
-        queue = self._queue
-        if not queue:
-            raise EmptySchedule()
-        when, _prio, _eid, event = heappop(queue)
-
-        self._now = when
-        callbacks = event.callbacks
-        if callbacks is None:
-            raise SimulationError(f"{event!r} was scheduled twice")
-        event.callbacks = None
-        _sanitize.enter_step()
-        self._in_event = True
-        try:
-            if callbacks:
-                if len(callbacks) == 1:
-                    self._solo_callback = True
-                    try:
-                        callbacks[0](event)
-                    finally:
-                        self._solo_callback = False
-                else:
-                    for callback in callbacks:
-                        callback(event)
-        finally:
-            self._in_event = False
-            _sanitize.exit_step()
-        self._events_processed += 1
-
-        if event._ok:
-            cls = type(event)
-            if cls is PooledTimeout or (
-                self._pool_events and (cls is StorePut or cls is StoreGet)
-            ):
-                _sanitize.poison_event(event)
-        elif not event._defused:
-            raise event._value
-
     def _recycle_consumed(self, event: Event) -> None:
         """Recycle an in-place-completed event its creator just consumed.
 
@@ -430,15 +369,12 @@ class Environment:
         value and, for the F501-certified classes, no other reference
         exists.  The ``_RECYCLED`` sentinel makes a double consume (an
         escaping holder yielding the event again) a no-op here instead of a
-        pool corruption; under sanitize the event is poisoned so the same
-        misuse traps.
+        pool corruption; under sanitize the free list poisons the event so
+        the same misuse traps.
         """
         cls = type(event)
         if cls is StorePut:
             if event._value is _RECYCLED:
-                return
-            if self._sanitize:
-                _sanitize.poison_event(event)
                 return
             pool = self._put_pool
             if len(pool) < _EVENT_POOL_LIMIT:
@@ -447,9 +383,6 @@ class Environment:
                 pool.append(event)
         elif cls is StoreGet:
             if event._value is _RECYCLED:
-                return
-            if self._sanitize:
-                _sanitize.poison_event(event)
                 return
             pool = self._get_pool
             if len(pool) < _EVENT_POOL_LIMIT:
@@ -463,12 +396,8 @@ class Environment:
         A release's observable state after ``Resource.release`` returns is a
         constant (processed, ok, value ``None``) and the F501 certificate
         shows no call site stores one, so the object recycles at its
-        creation site rather than waiting for a consumption hook.  Under
-        sanitize nothing is pooled (allocations stay fresh), keeping
-        legitimate ``yield resource.release(...)`` idioms trap-free.
+        creation site rather than waiting for a consumption hook.
         """
-        if self._sanitize:
-            return
         pool = self._release_pool
         if len(pool) < _EVENT_POOL_LIMIT:
             pool.append(release)
@@ -507,9 +436,10 @@ class Environment:
             return stop_event._value
 
         stop_time = float(until)
-        if stop_time < self._now:
+        if not stop_time >= self._now:  # written so that NaN fails too
             raise SimulationError(
-                f"until={stop_time!r} lies before the current time {self._now!r}"
+                f"invalid until={stop_time!r}: not at or after the current "
+                f"time {self._now!r}"
             )
         queue = self._queue
         step = self.step
@@ -544,9 +474,10 @@ class Environment:
         the same contract as ``run(until=event)``.
         """
         bound = float(stop_time)
-        if bound < self._now:
+        if not bound >= self._now:  # written so that NaN fails too
             raise SimulationError(
-                f"stop_time={bound!r} lies before the current time {self._now!r}"
+                f"invalid stop_time={bound!r}: not at or after the current "
+                f"time {self._now!r}"
             )
         queue = self._queue
         step = self.step
@@ -565,19 +496,79 @@ class Environment:
             raise stop_event._value
         return True
 
-    def run_all(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, optionally bounded by ``max_events``.
 
-        Returns the number of events processed by this call.  A bounded run is
-        useful in tests that want to guard against accidental infinite event
-        loops in a model.
+class SanitizedEnvironment(Environment):
+    """An :class:`Environment` with the :mod:`repro.sanitize` traps armed.
+
+    ``Environment(sanitize=True)``, or ``Environment()`` under
+    ``REPRO_SANITIZE=1``, builds one.  It runs the same kernel with four
+    differences:
+
+    * :meth:`step` holds the trap window open around ``Environment.step``
+      (``try/finally``, so a trap cannot leave it open): the clock and
+      global-RNG guards raise while an event executes;
+    * its free lists are :class:`~repro.sanitize.PoisonList` objects, so
+      recyclable events are poisoned instead of pooled — the lists stay
+      empty, every allocation is fresh, and a use after recycling traps;
+    * :meth:`credit_events` is validated;
+    * releases are never recycled, which keeps legitimate
+      ``yield resource.release(...)`` idioms trap-free.
+    """
+
+    __slots__ = ("_in_event",)
+
+    sanitize = True
+
+    def __init__(
+        self,
+        initial_time: float = 0.0,
+        *,
+        pool_events: bool = False,
+        sanitize: Optional[bool] = None,
+    ):
+        super().__init__(initial_time, pool_events=pool_events)
+        # True while step() runs: crediting is legal only in that window.
+        self._in_event = False
+        self._timeout_pool = PoisonList()
+        self._put_pool = PoisonList()
+        self._get_pool = PoisonList()
+        _sanitize.install_guards()
+
+    def step(self) -> None:
+        """Process one event through ``Environment.step`` with the traps armed.
+
+        The call names ``Environment.step`` rather than going through
+        ``super()``: it is cheaper per event, and a wrapper installed on
+        ``Environment.step`` (the benchmark's dispatch counter) still sees
+        every event once.
         """
-        processed = 0
-        while self._queue:
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"run_all exceeded the budget of {max_events} events"
-                )
-            self.step()
-            processed += 1
-        return processed
+        _sanitize.enter_step()
+        self._in_event = True
+        try:
+            Environment.step(self)
+        finally:
+            self._in_event = False
+            _sanitize.exit_step()
+
+    def credit_events(self, count: int) -> None:
+        """Account elided events, trapping any credit that would corrupt the count.
+
+        The count must be a positive integer, credited while an event is
+        executing (a fast path only ever elides queue trips from inside
+        one).  Anything else traps here instead of surfacing as a
+        bit-identity diff three layers up.
+        """
+        if count.__class__ is not int or count <= 0:
+            raise SanitizerTrap(
+                f"sanitizer: credit_events({count!r}) — elided-event "
+                "credits must be positive ints (docs/performance.md)"
+            )
+        if not self._in_event:
+            raise SanitizerTrap(
+                "sanitizer: credit_events() outside event execution — "
+                "fast paths elide queue trips only from within step()"
+            )
+        self._events_processed += count
+
+    def _recycle_release(self, release: Release) -> None:
+        """Never recycle a release: allocations stay fresh."""

@@ -18,8 +18,10 @@ class Interrupt(Exception):
 
     The interrupting party calls :meth:`repro.simcore.events.Process.interrupt`
     with an optional ``cause``; the target process sees this exception raised
-    at its current ``yield`` statement and may catch it to clean up or to react
-    (the Zipper runtime uses interrupts to shut down its helper threads).
+    at its current ``yield`` statement and may catch it to clean up or to react.
+    No model process interrupts another today; the tests use interrupts to
+    check that cleanups such as ``Network.transfer`` releasing its port load
+    run when a process is cut short.
     """
 
     def __init__(self, cause: object = None):
@@ -29,14 +31,3 @@ class Interrupt(Exception):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Interrupt(cause={self.cause!r})"
 
-
-class StopProcess(Exception):
-    """Raised by model code to terminate the *current* process early.
-
-    Equivalent to ``return`` from the process generator but usable from helper
-    functions that do not have access to the generator frame.
-    """
-
-    def __init__(self, value: object = None):
-        super().__init__(value)
-        self.value = value

@@ -13,7 +13,7 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro import sanitize as _sanitize
-from repro.simcore.errors import Interrupt, SimulationError, StopProcess
+from repro.simcore.errors import Interrupt, SimulationError
 
 if TYPE_CHECKING:
     from repro.simcore.engine import Environment
@@ -35,7 +35,6 @@ __all__ = [
     "Process",
     "ConditionEvent",
     "AllOf",
-    "AnyOf",
 ]
 
 #: Sentinel for an event value that has not been set yet.
@@ -161,8 +160,8 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay!r}")
         super().__init__(env)
         self._delay = delay
         self._ok = True
@@ -300,12 +299,6 @@ class Process(Event):
                 self._value = exc.value
                 env.schedule(self)
                 break
-            except StopProcess as exc:
-                self._generator.close()
-                self._ok = True
-                self._value = exc.value
-                env.schedule(self)
-                break
             except BaseException as exc:  # noqa: BLE001 - propagate via event
                 self._ok = False
                 self._value = exc
@@ -354,7 +347,7 @@ class ConditionEvent(Event):
         events: Iterable[Event],
     ):
         super().__init__(env)
-        if env._sanitize:
+        if env.sanitize:
             # A condition's trigger order follows its children's schedule
             # order; building one from a set would bake hash-salted
             # iteration order into the event heap.
@@ -406,12 +399,3 @@ class AllOf(ConditionEvent):
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, lambda evs, count: count >= len(evs), events)
-
-
-class AnyOf(ConditionEvent):
-    """Triggers when *any* child event has triggered (``MPI_Waitany``-like)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda evs, count: count >= 1 or not evs, events)

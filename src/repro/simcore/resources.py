@@ -3,7 +3,7 @@
 Three families of resources are provided, mirroring what the cluster and
 runtime models need:
 
-* :class:`Resource` / :class:`PriorityResource` — a counted set of slots that
+* :class:`Resource` — a counted set of slots with a FIFO wait queue that
   processes acquire and release (used for NIC send engines, file-system
   object-storage-target service slots, staging-server request handlers, ...).
 * :class:`Store` / :class:`FilterStore` — a buffer of Python objects with an
@@ -28,7 +28,6 @@ __all__ = [
     "Request",
     "Release",
     "Resource",
-    "PriorityResource",
     "StorePut",
     "StoreGet",
     "Store",
@@ -40,9 +39,9 @@ __all__ = [
 class Request(Event):
     """Event returned by :meth:`Resource.request`; triggers on acquisition."""
 
-    __slots__ = ("resource", "priority", "usage_since")
+    __slots__ = ("resource", "usage_since")
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         # Inlined Event.__init__ (one request per core grant, NIC slot and
         # staging handler — a hot allocation path).
         self.env = resource.env
@@ -51,7 +50,6 @@ class Request(Event):
         self._ok = None
         self._defused = False
         self.resource = resource
-        self.priority = priority
         self.usage_since: Optional[float] = None
         resource._do_request(self)
 
@@ -134,9 +132,9 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; the returned event triggers when granted."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         """Return a previously granted slot to the pool."""
@@ -173,10 +171,7 @@ class Resource:
             request.usage_since = env._now
             env.trigger_inplace(request)
         else:
-            self._insert_waiter(request)
-
-    def _insert_waiter(self, request: Request) -> None:
-        self._waiters.append(request)
+            self._waiters.append(request)
 
     def _grant(self, request: Request) -> None:
         self.users.append(request)
@@ -196,19 +191,6 @@ class Resource:
 
     def _pop_waiter(self) -> Request:
         return self._waiters.pop(0)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served lowest-priority-value first."""
-
-    def _insert_waiter(self, request: Request) -> None:
-        # Stable insert: equal priorities keep FIFO order.
-        idx = len(self._waiters)
-        for i, waiting in enumerate(self._waiters):
-            if request.priority < waiting.priority:
-                idx = i
-                break
-        self._waiters.insert(idx, request)
 
 
 class StorePut(Event):

@@ -126,6 +126,13 @@ class TestComputeNode:
         p = env.process(proc())
         with pytest.raises(ValueError):
             env.run(p)
+        # NaN work must not pass as "no work" (a ``> 0`` duration test
+        # would skip it), in either entry point.
+        nan = float("nan")
+        for call in (node.compute(nan), node.compute_batch(nan), node.compute_batch([0.5, nan])):
+            with pytest.raises(ValueError, match="non-negative"):
+                env.run(env.process(call))
+        assert node.busy_core_seconds == 0.0
 
     def test_memory_accounting(self):
         env = Environment()

@@ -244,6 +244,16 @@ class TestBurstyWorkload:
             # length == period would make every step a burst step, leaving
             # no observable steady baseline before the first burst.
             {"analysis_burst_period": 2, "analysis_burst_length": 2},
+            # NaN fails every comparison, so each check must reject it.
+            {"analysis_burst_factor": float("nan")},
+            {"analysis_burst_length": float("nan")},
+            {"analysis_seconds_per_byte": float("nan")},
+            {"sim_step_seconds": float("nan")},
+            {"analysis_burst_period": float("nan")},
+            {"output_bytes_per_step": float("nan")},
+            {"halo_bytes": float("nan")},
+            {"block_exponent": float("nan")},
+            {"reference_block_bytes": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -17,7 +17,7 @@ import pytest
 
 from repro import sanitize
 from repro.sanitize import SanitizerTrap
-from repro.simcore import AllOf, Environment, Store
+from repro.simcore import AllOf, Environment, Resource, SanitizedEnvironment, Store
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +81,17 @@ class TestClockAndRandomGuards:
         assert (time.perf_counter, random.random) == originals
         assert not sanitize.guards_installed()
 
+    def test_direct_step_traps_a_wall_clock_read(self):
+        env = Environment(sanitize=True)
+        event = env.event()
+        event.add_callback(lambda _event: time.perf_counter())
+        event.succeed()
+        with pytest.raises(SanitizerTrap, match=r"time\.perf_counter\(\)"):
+            env.step()
+        # The trap window closes even though the step raised.
+        assert not sanitize.in_sanitized_step()
+        assert isinstance(time.perf_counter(), float)
+
     def test_seeded_stream_randomness_stays_trap_free(self):
         from repro.simcore import RandomStreams
 
@@ -136,6 +147,23 @@ class TestUseAfterRecycle:
         assert "after recycling" in str(excinfo.value)
         assert "generation" in str(excinfo.value)
 
+    @pytest.mark.parametrize("make", ["sleep", "get"])
+    def test_holding_a_pooled_event_past_a_later_step_traps(self, make):
+        def broken(env, store):
+            yield store.put("x")
+            ev = env.sleep(1.0) if make == "sleep" else store.get()
+            yield ev
+            yield env.sleep(1.0)  # a later step: ev has been recycled by now
+            yield ev
+
+        env = Environment(sanitize=True, pool_events=True)
+        store = Store(env)
+        env.process(broken(env, store))
+        with pytest.raises(SanitizerTrap) as excinfo:
+            env.run()
+        name = "PooledTimeout" if make == "sleep" else "StoreGet"
+        assert f"use of {name} after recycling" in str(excinfo.value)
+
     def test_fresh_event_per_operation_is_fine(self):
         def fine(env, store):
             yield store.put("x")
@@ -152,6 +180,7 @@ class TestUseAfterRecycle:
             for _ in range(5):
                 yield store.put("x")
                 yield store.get()
+                yield env.sleep(1.0)
 
         env = Environment(sanitize=True, pool_events=True)
         store = Store(env)
@@ -159,6 +188,34 @@ class TestUseAfterRecycle:
         env.run()
         assert env._put_pool == []
         assert env._get_pool == []
+        assert env._timeout_pool == []
+
+    def test_releases_are_never_recycled(self):
+        releases = []
+
+        def fine(env, resource):
+            for _ in range(4):
+                req = resource.request()
+                yield req
+                yield env.sleep(0.1)
+                release = resource.release(req)
+                releases.append(release)
+                yield release  # legitimate: must not trap
+
+        env = Environment(sanitize=True, pool_events=True)
+        resource = Resource(env, capacity=1)
+        env.process(fine(env, resource))
+        env.run()
+        assert env._release_pool == []
+        assert len({id(release) for release in releases}) == 4
+
+    def test_poison_list_poisons_instead_of_pooling(self):
+        event = Environment().sleep(1.0)
+        pool = sanitize.PoisonList()
+        pool.append(event)
+        assert pool == []
+        assert event._generation == 1
+        assert isinstance(event._value, SanitizerTrap)
 
     def test_poison_event_bumps_the_generation_counter(self):
         env = Environment()
@@ -227,6 +284,16 @@ class TestEnablement:
         env = Environment()
         assert env.sanitize is True
         assert Environment(sanitize=False).sanitize is False
+
+    def test_sanitize_flag_builds_the_subclass(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        env = Environment(5.0, pool_events=True, sanitize=True)
+        assert type(env) is SanitizedEnvironment
+        assert isinstance(env, Environment)
+        assert (env.now, env.pool_events) == (5.0, True)
+        assert type(Environment()) is Environment
+        assert type(Environment(sanitize=False)) is Environment
+        assert SanitizedEnvironment().sanitize is True
 
     def test_sanitized_run_is_bit_identical(self):
         from repro.bench.experiments import pipeline_chain

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import sanitize
 from repro.simcore import Environment, SimulationError, Timeout
 from repro.simcore.engine import EmptySchedule
 
@@ -31,6 +32,21 @@ class TestClock:
         with pytest.raises(SimulationError):
             env.run(until=1.0)
 
+    @pytest.mark.parametrize("loop", ["run", "run_bounded"])
+    def test_nan_stop_time_rejected(self, env, loop):
+        # A ``stop < now`` check lets NaN through: run() then pins the clock
+        # to NaN and run_bounded() ignores its bound.
+        last = env.timeout(5.0)
+        env.run(until=1.0)
+        with pytest.raises(SimulationError, match="invalid"):
+            if loop == "run":
+                env.run(until=float("nan"))
+            else:
+                env.run_bounded(last, float("nan"))
+        assert env.now == 1.0
+        assert env.run_bounded(last, 10.0) is True
+        assert env.now == 5.0
+
     def test_run_drains_queue(self, env):
         done = []
 
@@ -41,7 +57,8 @@ class TestClock:
         env.process(proc(env))
         env.run()
         assert done == [True]
-        assert env.peek() == float("inf")
+        with pytest.raises(EmptySchedule):
+            env.step()
 
     def test_run_until_untriggered_event_with_empty_schedule_raises(self, env):
         ev = env.event()
@@ -76,24 +93,68 @@ class TestStep:
         assert order[0] == "proc-started"
 
     def test_negative_delay_rejected(self, env):
-        with pytest.raises(SimulationError):
-            env.schedule(env.event(), delay=-0.1)
+        # NaN compares false against everything: a ``delay < 0`` check lets
+        # it through and the heap then orders events by a NaN time.
+        env.run(until=1.0)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(SimulationError, match="invalid"):
+                env.schedule(env.event(), delay=bad)
+            with pytest.raises(SimulationError, match="invalid"):
+                env.sleep(bad)
+            with pytest.raises(SimulationError, match="invalid"):
+                env.sleep_until(env.now + bad)
+            with pytest.raises(SimulationError, match="invalid"):
+                Timeout(env, bad)
+        assert env.now == 1.0
+        with pytest.raises(EmptySchedule):
+            env.step()
 
 
-class TestRunAll:
-    def test_run_all_returns_count(self, env):
-        for delay in (1, 2):
-            Timeout(env, delay)
-        assert env.run_all() == 2
+class TestStepIsTheOnlyDispatch:
+    """Every run loop dispatches through ``Environment.step``.
 
-    def test_run_all_budget_guard(self, env):
-        def forever(env):
-            while True:
-                yield Timeout(env, 1)
+    The benchmark counts dispatches by wrapping ``Environment.step``; a run
+    loop (or a sanitized step) that bypassed it would read zero.
+    """
 
-        env.process(forever(env))
-        with pytest.raises(SimulationError):
-            env.run_all(max_events=10)
+    @staticmethod
+    def _model(env):
+        def worker(env, delay):
+            for _ in range(3):
+                yield Timeout(env, delay)
+
+        procs = [env.process(worker(env, delay)) for delay in (0.5, 1.0, 1.5)]
+        return procs[-1]
+
+    @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+    @pytest.mark.parametrize("mode", ["drain", "until_time", "until_event", "bounded"])
+    def test_dispatch_count_equals_events_processed(self, monkeypatch, sanitized, mode):
+        calls = []
+        original = Environment.step
+
+        def counted(environment):
+            calls.append(environment)
+            return original(environment)
+
+        monkeypatch.setattr(Environment, "step", counted)
+        env = Environment(sanitize=sanitized)
+        try:
+            assert env.sanitize is sanitized
+            last = self._model(env)
+            if mode == "drain":
+                env.run()
+            elif mode == "until_time":
+                env.run(until=2.0)
+            elif mode == "until_event":
+                env.run(until=last)
+            else:
+                assert env.run_bounded(last, 2.0) is False
+                assert env.run_bounded(last, 10.0) is True
+        finally:
+            sanitize.uninstall_guards()
+        assert env.events_processed > 0
+        assert len(calls) == env.events_processed
+        assert all(caller is env for caller in calls)
 
 
 class TestDeterminism:

@@ -6,13 +6,11 @@ import pytest
 
 from repro.simcore import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
 )
 
@@ -143,16 +141,6 @@ class TestProcess:
         w = env.process(waiter(env))
         assert env.run(w) == "caught inner"
 
-    def test_stop_process_terminates_early(self, env):
-        def proc(env):
-            yield Timeout(env, 1)
-            raise StopProcess("early")
-            yield Timeout(env, 100)  # pragma: no cover
-
-        p = env.process(proc(env))
-        assert env.run(p) == "early"
-        assert env.now == pytest.approx(1.0)
-
     def test_is_alive(self, env):
         def proc(env):
             yield Timeout(env, 5)
@@ -229,17 +217,6 @@ class TestConditions:
         p = env.process(proc(env))
         assert env.run(p) == ["a", "b"]
         assert env.now == pytest.approx(3.0)
-
-    def test_anyof_returns_on_first(self, env):
-        def proc(env):
-            t1 = Timeout(env, 1, value="fast")
-            t2 = Timeout(env, 10, value="slow")
-            result = yield AnyOf(env, [t1, t2])
-            return list(result.values())
-
-        p = env.process(proc(env))
-        assert env.run(p) == ["fast"]
-        assert env.now == pytest.approx(1.0)
 
     def test_allof_empty_list_triggers_immediately(self, env):
         cond = AllOf(env, [])

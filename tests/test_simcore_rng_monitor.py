@@ -1,13 +1,11 @@
-"""Unit and property tests for random streams and statistics monitors."""
+"""Unit tests for the named random streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.simcore import RandomStreams, TallyMonitor, TimeSeriesMonitor
+from repro.simcore import RandomStreams
 
 
 class TestRandomStreams:
@@ -48,73 +46,3 @@ class TestRandomStreams:
         rs.stream("a")
         assert "a" in rs and "b" not in rs
         assert len(rs) == 1
-
-
-class TestTallyMonitor:
-    def test_basic_statistics(self):
-        m = TallyMonitor("t")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            m.observe(v)
-        assert m.count == 4
-        assert m.mean == pytest.approx(2.5)
-        assert m.minimum == 1.0 and m.maximum == 4.0
-        assert m.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-
-    def test_empty_monitor(self):
-        m = TallyMonitor()
-        assert m.mean == 0.0 and m.variance == 0.0 and m.count == 0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy(self, values):
-        m = TallyMonitor()
-        for v in values:
-            m.observe(v)
-        assert m.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-6)
-        assert m.total == pytest.approx(float(np.sum(values)), rel=1e-9, abs=1e-6)
-        if len(values) > 1:
-            assert m.variance == pytest.approx(float(np.var(values, ddof=1)), rel=1e-6, abs=1e-3)
-
-    @given(
-        st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=80),
-        st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=80),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_equals_combined(self, left, right):
-        a, b = TallyMonitor(), TallyMonitor()
-        for v in left:
-            a.observe(v)
-        for v in right:
-            b.observe(v)
-        merged = a.merge(b)
-        combined = left + right
-        assert merged.count == len(combined)
-        assert merged.mean == pytest.approx(float(np.mean(combined)), rel=1e-6, abs=1e-3)
-
-
-class TestTimeSeriesMonitor:
-    def test_time_average(self):
-        m = TimeSeriesMonitor("queue", initial=0.0)
-        m.record(1.0, 2.0)   # level 0 for [0,1)
-        m.record(3.0, 4.0)   # level 2 for [1,3)
-        # average over [0,3] = (0*1 + 2*2) / 3
-        assert m.time_average(3.0) == pytest.approx(4.0 / 3.0)
-        assert m.maximum == 4.0 and m.minimum == 0.0
-
-    def test_non_monotonic_time_rejected(self):
-        m = TimeSeriesMonitor()
-        m.record(2.0, 1.0)
-        with pytest.raises(ValueError):
-            m.record(1.0, 5.0)
-
-    def test_increment_decrement(self):
-        m = TimeSeriesMonitor(initial=1.0)
-        m.increment(1.0)
-        m.decrement(2.0, 0.5)
-        assert m.level == pytest.approx(1.5)
-
-    def test_time_average_before_last_record_rejected(self):
-        m = TimeSeriesMonitor()
-        m.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            m.time_average(4.0)
