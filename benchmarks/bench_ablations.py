@@ -18,7 +18,7 @@ from repro.apps.costs import MiB, cfd_workload, synthetic_workload
 from repro.bench import format_table
 from repro.cluster.presets import bridges
 from repro.sweep import ParamGrid, run_labelled
-from repro.workflow import WorkflowConfig, run_workflow
+from repro.workflow import WorkflowConfig, run_pipeline
 
 BLOCK_SIZES = (1 * MiB, 2 * MiB, 4 * MiB, 8 * MiB, 16 * MiB)
 WATERMARKS = (4, 16, 32, 48, 63)
@@ -103,8 +103,10 @@ def run_interlock_comparison(steps: int = 15):
         representative_sim_ranks=8,
         steps=steps,
     )
-    zipper = run_workflow(base)
-    interlocked = run_workflow(base.replace(transport="adios+dimes", label="interlocked"))
+    zipper = run_pipeline(base.to_pipeline())
+    interlocked = run_pipeline(
+        base.replace(transport="adios+dimes", label="interlocked").to_pipeline()
+    )
     return zipper, interlocked
 
 

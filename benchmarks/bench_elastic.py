@@ -19,12 +19,12 @@ from __future__ import annotations
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import elastic_vs_static_configs
+from repro.bench.experiments import elastic_vs_static_spec
 from repro.sweep import run_labelled
 
 
 def run_elastic(steps: int):
-    return run_labelled(elastic_vs_static_configs(steps=steps), workers=bench_workers())
+    return run_labelled(elastic_vs_static_spec(steps=steps), workers=bench_workers())
 
 
 def test_elastic_vs_static_bursty_analytics(benchmark, report):

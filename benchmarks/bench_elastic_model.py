@@ -22,13 +22,13 @@ from __future__ import annotations
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import model_vs_threshold_configs
+from repro.bench.experiments import model_vs_threshold_spec
 from repro.sweep import run_labelled
 
 
 def run_model_vs_threshold(steps: int):
     """Run the threshold-vs-model grid through the sweep engine."""
-    return run_labelled(model_vs_threshold_configs(steps=steps), workers=bench_workers())
+    return run_labelled(model_vs_threshold_spec(steps=steps), workers=bench_workers())
 
 
 def test_model_vs_threshold_bursty_analytics(benchmark, report):

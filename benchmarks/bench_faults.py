@@ -21,12 +21,12 @@ from __future__ import annotations
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import fault_recovery_configs
+from repro.bench.experiments import fault_recovery_spec
 from repro.sweep import run_labelled
 
 
 def run_faults(steps: int):
-    return run_labelled(fault_recovery_configs(steps=steps), workers=bench_workers())
+    return run_labelled(fault_recovery_spec(steps=steps), workers=bench_workers())
 
 
 def crash_recovery_times(result):

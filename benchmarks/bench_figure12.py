@@ -14,7 +14,7 @@ from __future__ import annotations
 from conftest import bench_data_mib, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import figure12_configs
+from repro.bench.experiments import figure12_spec
 from repro.core import PerformanceModel, StageTimes
 from repro.sweep import run_labelled
 
@@ -22,9 +22,9 @@ MiB = 1024 * 1024
 
 
 def run_figure12(data_per_rank: int):
-    configs = figure12_configs(data_per_rank=data_per_rank)
-    results = run_labelled(configs, workers=bench_workers())
-    return {label: (cfg, results[label]) for label, cfg in configs}
+    spec = figure12_spec(data_per_rank=data_per_rank)
+    results = run_labelled(spec, workers=bench_workers())
+    return {case.label: (case.config, results[case.label]) for case in spec.cases()}
 
 
 def _model_estimate(cfg, result):

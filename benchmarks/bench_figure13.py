@@ -11,14 +11,14 @@ from __future__ import annotations
 from conftest import bench_data_mib, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import figure13_configs
+from repro.bench.experiments import figure13_spec
 from repro.sweep import run_labelled
 
 MiB = 1024 * 1024
 
 
 def run_figure13(data_per_rank: int):
-    return run_labelled(figure13_configs(data_per_rank=data_per_rank), workers=bench_workers())
+    return run_labelled(figure13_spec(data_per_rank=data_per_rank), workers=bench_workers())
 
 
 def test_figure13_preserve_breakdown(benchmark, report):

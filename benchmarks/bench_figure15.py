@@ -17,7 +17,7 @@ from __future__ import annotations
 from conftest import bench_data_mib, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import figure14_configs
+from repro.bench.experiments import figure14_spec
 from repro.sweep import run_labelled
 
 MiB = 1024 * 1024
@@ -26,7 +26,7 @@ CORE_COUNTS = (84, 336, 2352)
 
 def run_figure15(data_per_rank: int):
     return run_labelled(
-        figure14_configs(data_per_rank=data_per_rank, core_counts=CORE_COUNTS),
+        figure14_spec(data_per_rank=data_per_rank, core_counts=CORE_COUNTS),
         workers=bench_workers(),
     )
 

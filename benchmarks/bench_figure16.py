@@ -16,12 +16,12 @@ from __future__ import annotations
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import SCALABILITY_CORE_COUNTS, figure16_configs
+from repro.bench.experiments import SCALABILITY_CORE_COUNTS, figure16_spec
 from repro.sweep import run_labelled
 
 
 def run_figure16(steps: int):
-    return run_labelled(figure16_configs(steps=steps), workers=bench_workers())
+    return run_labelled(figure16_spec(steps=steps), workers=bench_workers())
 
 
 def test_figure16_cfd_weak_scaling(benchmark, report):

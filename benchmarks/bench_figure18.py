@@ -15,12 +15,12 @@ from __future__ import annotations
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import SCALABILITY_CORE_COUNTS, figure18_configs
+from repro.bench.experiments import SCALABILITY_CORE_COUNTS, figure18_spec
 from repro.sweep import run_labelled
 
 
 def run_figure18(steps: int):
-    return run_labelled(figure18_configs(steps=steps), workers=bench_workers())
+    return run_labelled(figure18_spec(steps=steps), workers=bench_workers())
 
 
 def test_figure18_lammps_weak_scaling(benchmark, report):

@@ -18,12 +18,12 @@ from __future__ import annotations
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import figure2_configs
+from repro.bench.experiments import figure2_spec
 from repro.sweep import run_labelled
 
 
 def run_figure2(steps: int):
-    return run_labelled(figure2_configs(steps=steps), workers=bench_workers())
+    return run_labelled(figure2_spec(steps=steps), workers=bench_workers())
 
 
 def test_figure2_cfd_transport_comparison(benchmark, report):

@@ -24,7 +24,7 @@ import json
 from conftest import bench_steps, bench_workers
 
 from repro.bench import format_table
-from repro.bench.experiments import tenant_contention_configs
+from repro.bench.experiments import tenant_contention_spec
 from repro.sweep import run_labelled
 from repro.sweep.store import result_payload
 from repro.tenants import TenantScheduler, TenantSpec
@@ -32,7 +32,7 @@ from repro.workflow.runner import run_pipeline
 
 
 def run_tenant_grid(steps: int):
-    return run_labelled(tenant_contention_configs(steps=steps), workers=bench_workers())
+    return run_labelled(tenant_contention_spec(steps=steps), workers=bench_workers())
 
 
 def solo_payloads(steps: int):
@@ -44,9 +44,10 @@ def solo_payloads(steps: int):
     comparison covers every recorded field (stats, breakdowns, event counts).
     """
     pairs = {}
-    for label, spec in tenant_contention_configs(steps=steps):
-        if label != "fair/bursty":
+    for case in tenant_contention_spec(steps=steps).cases():
+        if case.label != "fair/bursty":
             continue
+        spec = case.config
         for job in spec.jobs:
             if job.tenant in pairs:
                 continue

@@ -20,11 +20,12 @@ from __future__ import annotations
 from repro.bench import format_table
 from repro.bench.experiments import trace_config
 from repro.trace import Timeline, compare_traces, render_ascii, summarize_categories
-from repro.workflow import run_workflow
+from repro.workflow import run_pipeline
 
 
 def _traced_run(transport: str, workload: str = "cfd", cores: int = 204, steps: int = 10):
-    return run_workflow(trace_config(transport, workload, total_cores=cores, steps=steps))
+    config = trace_config(transport, workload, total_cores=cores, steps=steps)
+    return run_pipeline(config.to_pipeline())
 
 
 def run_baseline_traces():

@@ -4,8 +4,8 @@ The modules here define, for every table and figure of the paper, the exact
 workflow configurations to run and the rows/series to print, so the scripts in
 ``benchmarks/`` stay thin.  The scenario grids are declared as
 :class:`~repro.sweep.spec.SweepSpec` objects (``figureN_spec``) and executed
-through :mod:`repro.sweep`; the ``figureN_configs`` functions expand them into
-flat ``(label, config)`` lists.  All experiments run on the
+through :mod:`repro.sweep` (``run_labelled(figure2_spec())``; ``spec.cases()``
+lists the labelled cases).  All experiments run on the
 representative-rank simulator; the scale knobs (``steps``,
 ``representative_sim_ranks``, ``data_per_rank``) default to values small
 enough for a laptop while keeping the per-rank workload and the full-job
@@ -24,14 +24,7 @@ from repro.bench.experiments import (
     figure14_spec,
     figure16_spec,
     figure18_spec,
-    figure2_configs,
-    figure12_configs,
-    figure13_configs,
-    figure14_configs,
-    figure16_configs,
-    figure18_configs,
     trace_config,
-    run_all,
     SCALABILITY_CORE_COUNTS,
     SCALABILITY_TRANSPORTS,
     SYNTHETIC_SCALING_CORES,
@@ -48,14 +41,7 @@ __all__ = [
     "figure14_spec",
     "figure16_spec",
     "figure18_spec",
-    "figure2_configs",
-    "figure12_configs",
-    "figure13_configs",
-    "figure14_configs",
-    "figure16_configs",
-    "figure18_configs",
     "trace_config",
-    "run_all",
     "SCALABILITY_CORE_COUNTS",
     "SCALABILITY_TRANSPORTS",
     "SYNTHETIC_SCALING_CORES",

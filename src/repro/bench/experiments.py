@@ -2,9 +2,9 @@
 
 Each figure's scenario grid is declared as a :class:`~repro.sweep.spec.SweepSpec`
 (``figureN_spec``) built from :class:`~repro.sweep.spec.ParamGrid` axes —
-transports × core counts × block sizes × preserve modes — and the legacy
-``figureN_configs`` functions expand those specs into the ``(label, config)``
-lists the benchmark drivers consume.  Scale knobs default to laptop-friendly
+transports × core counts × block sizes × preserve modes.  Benchmark drivers
+pass a spec straight to :func:`~repro.sweep.runner.run_labelled`, and
+``spec.cases()`` lists its labelled cases.  Scale knobs default to laptop-friendly
 values — fewer steps and less data per rank than the paper — while the
 structural parameters (core counts, producer:consumer ratio, block sizes,
 machine presets) stay faithful, so the *shape* of every result is preserved.
@@ -12,7 +12,7 @@ machine presets) stay faithful, so the *shape* of every result is preserved.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.apps.costs import MiB, cfd_workload, lammps_workload, synthetic_workload
 from repro.cluster.presets import bridges, stampede2
@@ -20,7 +20,6 @@ from repro.elastic import ElasticPolicy, ModelDrivenPolicy
 from repro.sweep.spec import ParamGrid, SweepSpec
 from repro.workflow.config import WorkflowConfig
 from repro.workflow.pipeline import CouplingSpec, PipelineSpec, StageSpec
-from repro.workflow.result import WorkflowResult
 
 __all__ = [
     "FIGURE2_TRANSPORTS",
@@ -33,31 +32,19 @@ __all__ = [
     "figure14_spec",
     "figure16_spec",
     "figure18_spec",
-    "figure2_configs",
-    "figure12_configs",
-    "figure13_configs",
-    "figure14_configs",
-    "figure16_configs",
-    "figure18_configs",
     "FAULT_CHECKPOINT_INTERVALS",
     "default_fault_plan",
     "elastic_burst_pipeline",
     "elastic_default_policy",
     "elastic_vs_static_spec",
-    "elastic_vs_static_configs",
     "fault_recovery_spec",
-    "fault_recovery_configs",
     "model_driven_default_policy",
     "model_vs_threshold_spec",
-    "model_vs_threshold_configs",
     "pipeline_chain",
     "pipeline_fanout",
     "pipeline_shapes_spec",
-    "pipeline_shapes_configs",
     "tenant_contention_spec",
-    "tenant_contention_configs",
     "trace_config",
-    "run_all",
 ]
 
 #: The seven transport methods of Figure 2 plus the two reference bars.
@@ -385,12 +372,6 @@ def pipeline_shapes_spec(
     return SweepSpec("pipelines", grids=[grid])
 
 
-def pipeline_shapes_configs(
-    steps: int = 6, core_counts: Iterable[int] = (384, 768)
-) -> List[Tuple[str, PipelineSpec]]:
-    return pipeline_shapes_spec(steps, core_counts).configs()
-
-
 # -- elastic vs static core splits (bursty analytics) -------------------------
 #: Static core grants to the simulation stage swept by ``elastic_vs_static_spec``
 #: (out of 384 total cores; the analysis stage gets the remainder).
@@ -579,12 +560,6 @@ def elastic_vs_static_spec(
     )
 
 
-def elastic_vs_static_configs(
-    steps: int = 24, total_cores: int = 384
-) -> List[Tuple[str, PipelineSpec]]:
-    return elastic_vs_static_spec(steps=steps, total_cores=total_cores).configs()
-
-
 def model_driven_default_policy(epoch_seconds: float = 0.15) -> ModelDrivenPolicy:
     """The model-driven policy used by the ``elastic-model`` scenario family.
 
@@ -635,13 +610,6 @@ def model_vs_threshold_spec(
         representative_sim_ranks=representative_sim_ranks,
         burst_factor=burst_factor,
     )
-
-
-def model_vs_threshold_configs(
-    steps: int = 24, total_cores: int = 384
-) -> List[Tuple[str, PipelineSpec]]:
-    """The ``(label, config)`` list form of :func:`model_vs_threshold_spec`."""
-    return model_vs_threshold_spec(steps=steps, total_cores=total_cores).configs()
 
 
 #: Checkpoint intervals (steps) swept by the fault-recovery grid.
@@ -749,13 +717,6 @@ def fault_recovery_spec(
     return SweepSpec("faults", grids=[grid])
 
 
-def fault_recovery_configs(
-    steps: int = 24, total_cores: int = 384
-) -> List[Tuple[str, PipelineSpec]]:
-    """The ``(label, config)`` list form of :func:`fault_recovery_spec`."""
-    return fault_recovery_spec(steps=steps, total_cores=total_cores).configs()
-
-
 def tenant_contention_spec(
     steps: int = 8,
     capacity_cores: int = 384,
@@ -835,47 +796,6 @@ def tenant_contention_spec(
     return SweepSpec("tenants", grids=[grid])
 
 
-def tenant_contention_configs(
-    steps: int = 8, capacity_cores: int = 384
-) -> List[Tuple[str, "TenantSpec"]]:
-    """The ``(label, config)`` list form of :func:`tenant_contention_spec`."""
-    return tenant_contention_spec(steps=steps, capacity_cores=capacity_cores).configs()
-
-
-# -- legacy (label, config) list API, kept for the bench drivers -------------
-def figure2_configs(
-    steps: int = 30, representative_sim_ranks: int = 8
-) -> List[Tuple[str, WorkflowConfig]]:
-    return figure2_spec(steps, representative_sim_ranks).configs()
-
-
-def figure12_configs(
-    data_per_rank: int = 256 * MiB, steps_cap: int = 512
-) -> List[Tuple[str, WorkflowConfig]]:
-    return figure12_spec(data_per_rank, steps_cap).configs()
-
-
-def figure13_configs(
-    data_per_rank: int = 256 * MiB, steps_cap: int = 512
-) -> List[Tuple[str, WorkflowConfig]]:
-    return figure13_spec(data_per_rank, steps_cap).configs()
-
-
-def figure14_configs(
-    data_per_rank: int = 256 * MiB,
-    core_counts: Iterable[int] = SYNTHETIC_SCALING_CORES,
-) -> List[Tuple[str, WorkflowConfig]]:
-    return figure14_spec(data_per_rank, core_counts).configs()
-
-
-def figure16_configs(steps: int = 30) -> List[Tuple[str, WorkflowConfig]]:
-    return figure16_spec(steps).configs()
-
-
-def figure18_configs(steps: int = 30) -> List[Tuple[str, WorkflowConfig]]:
-    return figure18_spec(steps).configs()
-
-
 def trace_config(
     transport: str,
     workload_name: str = "cfd",
@@ -897,11 +817,3 @@ def trace_config(
         label=f"trace/{workload_name}/{transport}/{total_cores}",
     )
 
-
-def run_all(
-    configs: List[Tuple[str, WorkflowConfig]], workers: int = 0
-) -> Dict[str, WorkflowResult]:
-    """Run every config through the sweep engine (serially unless ``workers`` > 1)."""
-    from repro.sweep.runner import SweepRunner
-
-    return SweepRunner(workers=workers).run_labelled(configs)

@@ -32,11 +32,12 @@ class NodeSpec:
     core_speed: float = 1.0
 
     def __post_init__(self) -> None:
+        # Float checks are written so that NaN fails them too.
         if self.cores <= 0:
             raise ValueError("cores must be positive")
         if self.memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
-        if self.core_speed <= 0:
+        if not self.core_speed > 0:
             raise ValueError("core_speed must be positive")
 
 
@@ -75,21 +76,18 @@ class NetworkSpec:
     flit_bytes: int = 8
 
     def __post_init__(self) -> None:
-        for name in (
-            "link_bandwidth",
-            "core_link_bandwidth",
-            "latency",
-            "per_message_overhead",
-        ):
-            if getattr(self, name) <= 0 and name not in ("latency", "per_message_overhead"):
+        # Float checks are written so that NaN fails them too.
+        for name in ("link_bandwidth", "core_link_bandwidth"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-            if getattr(self, name) < 0:
+        for name in ("latency", "per_message_overhead"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.ports_per_leaf <= 0 or self.core_links_per_leaf <= 0:
             raise ValueError("switch port counts must be positive")
-        if self.congestion_alpha < 0:
+        if not self.congestion_alpha >= 0:
             raise ValueError("congestion_alpha must be non-negative")
-        if self.max_congestion_penalty < 1:
+        if not self.max_congestion_penalty >= 1:
             raise ValueError("max_congestion_penalty must be >= 1")
         if self.flit_bytes <= 0:
             raise ValueError("flit_bytes must be positive")
@@ -132,19 +130,20 @@ class FileSystemSpec:
     fabric_weight: float = 0.35
 
     def __post_init__(self) -> None:
+        # Float checks are written so that NaN fails them too.
         if self.num_osts <= 0:
             raise ValueError("num_osts must be positive")
-        if self.ost_bandwidth <= 0:
+        if not self.ost_bandwidth > 0:
             raise ValueError("ost_bandwidth must be positive")
-        if self.client_node_bandwidth <= 0:
+        if not self.client_node_bandwidth > 0:
             raise ValueError("client_node_bandwidth must be positive")
-        if self.metadata_latency < 0:
+        if not self.metadata_latency >= 0:
             raise ValueError("metadata_latency must be non-negative")
         if self.stripe_size <= 0:
             raise ValueError("stripe_size must be positive")
         if not 0.0 <= self.background_load < 1.0:
             raise ValueError("background_load must be in [0, 1)")
-        if self.service_cv < 0:
+        if not self.service_cv >= 0:
             raise ValueError("service_cv must be non-negative")
         if not 0.0 <= self.fabric_weight <= 1.0:
             raise ValueError("fabric_weight must be in [0, 1]")

@@ -77,13 +77,15 @@ class ModelDrivenPolicy(ElasticPolicy):
         super().__post_init__()
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError("smoothing must lie in (0, 1]")
-        if min(self.proportional_gain, self.integral_gain, self.derivative_gain) < 0:
-            raise ValueError("PID gains must be non-negative")
-        if self.deadband_fraction < 0:
+        # One check per gain: ``min`` would pass a NaN in any position.
+        for gain in (self.proportional_gain, self.integral_gain, self.derivative_gain):
+            if not gain >= 0:
+                raise ValueError("PID gains must be non-negative")
+        if not self.deadband_fraction >= 0:
             raise ValueError("deadband_fraction must be non-negative")
         if self.max_assist_ranks < 0:
             raise ValueError("max_assist_ranks must be non-negative")
-        if self.min_progress_steps < 0:
+        if not self.min_progress_steps >= 0:
             raise ValueError("min_progress_steps must be non-negative")
 
     @classmethod

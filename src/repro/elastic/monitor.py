@@ -184,7 +184,7 @@ class EpochMonitor:
             )
             moved = delta.get("bytes_network", 0.0) + delta.get("bytes_file", 0.0)
             level = float(getattr(cctx, "buffer_level", 0.0))
-            capacity = cctx.config.producer_buffer_blocks * cctx.sim_ranks
+            capacity = cctx.producer_buffer_blocks * cctx.sim_ranks
             couplings[cctx.name] = CouplingHealth(
                 cctx.name,
                 stall_fraction=stall,

@@ -74,17 +74,19 @@ class ElasticPolicy:
     max_bandwidth_share: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.epoch_seconds <= 0:
+        # Float checks are written so that NaN fails them too; infinite
+        # thresholds stay legal (``never`` uses them).
+        if not self.epoch_seconds > 0:
             raise ValueError("epoch_seconds must be positive")
-        if (
-            self.stall_threshold < 0
-            or self.starved_threshold < 0
-            or self.starved_occupancy < 0
+        if not (
+            self.stall_threshold >= 0
+            and self.starved_threshold >= 0
+            and self.starved_occupancy >= 0
         ):
             raise ValueError("thresholds must be non-negative")
         if not 0.0 <= self.idle_threshold <= 1.0:
             raise ValueError("idle_threshold must lie in [0, 1]")
-        if self.saturated_threshold < self.idle_threshold:
+        if not self.saturated_threshold >= self.idle_threshold:
             raise ValueError("saturated_threshold must be >= idle_threshold")
         if not 0.0 < self.resize_fraction <= 1.0:
             raise ValueError("resize_fraction must lie in (0, 1]")
@@ -94,7 +96,7 @@ class ElasticPolicy:
             raise ValueError("lease_step must lie in (0, 1]")
         if not 0.0 < self.min_bandwidth_share <= 1.0:
             raise ValueError("min_bandwidth_share must lie in (0, 1]")
-        if self.max_bandwidth_share < 1.0:
+        if not self.max_bandwidth_share >= 1.0:
             raise ValueError("max_bandwidth_share must be at least 1")
 
     @classmethod

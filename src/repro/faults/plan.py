@@ -62,22 +62,23 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         """Validate the spec eagerly so bad plans fail at build time."""
+        # Float checks are written so that NaN fails them too.
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {KINDS}")
-        if self.time < 0:
+        if not self.time >= 0:
             raise ValueError(f"fault time must be >= 0, got {self.time}")
         if not self.target:
             raise ValueError("fault target must be a non-empty stage/coupling name")
         if self.rank < 0:
             raise ValueError(f"fault rank must be >= 0, got {self.rank}")
         if self.kind in WINDOWED_KINDS:
-            if self.duration <= 0:
+            if not self.duration > 0:
                 raise ValueError(f"{self.kind} needs a positive duration, got {self.duration}")
         elif self.duration != 0.0:
             raise ValueError(
                 "node_crash downtime is computed from lost work; duration must stay 0"
             )
-        if self.kind == "straggler" and self.severity <= 1.0:
+        if self.kind == "straggler" and not self.severity > 1.0:
             raise ValueError(
                 f"straggler severity is a slowdown factor > 1, got {self.severity}"
             )
@@ -113,7 +114,7 @@ class FaultPlan:
         for spec in self.specs:
             if not isinstance(spec, FaultSpec):
                 raise ValueError(f"FaultPlan.specs must hold FaultSpec, got {spec!r}")
-        if self.recovery_seconds < 0:
+        if not self.recovery_seconds >= 0:
             raise ValueError(f"recovery_seconds must be >= 0, got {self.recovery_seconds}")
 
     @property

@@ -24,6 +24,7 @@ from repro.sweep.runner import (
     derive_case_seed,
     prepare_cases,
     run_cases,
+    run_config,
     run_labelled,
 )
 from repro.sweep.store import VOLATILE_KEYS, ResultStore, result_payload
@@ -41,6 +42,7 @@ __all__ = [
     "derive_case_seed",
     "prepare_cases",
     "run_cases",
+    "run_config",
     "run_labelled",
     "ResultStore",
     "VOLATILE_KEYS",

@@ -19,7 +19,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.sweep.runner import SweepRecord, SweepRunner
+from repro.sweep.runner import SweepRecord, SweepRunner, run_config
 from repro.sweep.spec import SweepSpec
 
 __all__ = ["main", "build_spec", "FIGURES"]
@@ -160,22 +160,10 @@ def profile_one(spec: SweepSpec) -> int:
     case = cases[0]
     print(f"profiling scenario {case.label!r} of {spec.name} ...")
 
-    from repro.tenants.scheduler import run_tenants
-    from repro.tenants.spec import TenantSpec
-    from repro.workflow.pipeline import PipelineSpec
-    from repro.workflow.runner import run_pipeline, run_workflow
-
-    config = case.config
-    if isinstance(config, TenantSpec):
-        runner = run_tenants
-    elif isinstance(config, PipelineSpec):
-        runner = run_pipeline
-    else:
-        runner = run_workflow
-    runner(config)  # warm imports and caches outside the profile
+    run_config(case.config)  # warm imports and caches outside the profile
     profiler = cProfile.Profile()
     profiler.enable()
-    result = runner(config)
+    result = run_config(case.config)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(20)

@@ -2,7 +2,8 @@
 
 The runner executes every :class:`~repro.sweep.spec.SweepCase` of a spec —
 serially in-process (``workers=0``) or across a ``multiprocessing`` pool —
-and yields one :class:`SweepRecord` per case.  Guarantees:
+and yields one :class:`SweepRecord` per case.  Each case runs through
+:func:`run_config`, the one dispatch over the case config types.  Guarantees:
 
 * **Determinism** — each case gets a seed derived from its base seed and its
   label (not from its position or its worker), so parallel and serial runs of
@@ -32,6 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sweep.spec import AnyConfig, SweepCase, SweepSpec
 from repro.sweep.store import ResultStore, result_payload
+from repro.tenants.spec import TenantSpec
+from repro.workflow.config import WorkflowConfig
 from repro.workflow.result import WorkflowResult
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "derive_case_seed",
     "prepare_cases",
     "run_cases",
+    "run_config",
     "run_labelled",
 ]
 
@@ -128,23 +132,30 @@ class SweepRecord:
         return record
 
 
+def run_config(config: AnyConfig) -> WorkflowResult:
+    """Run one case's configuration, whatever its type.
+
+    The one dispatch over case types: a :class:`TenantSpec` runs on its
+    shared facility, a two-application :class:`WorkflowConfig` as the
+    two-stage pipeline it builds, and a pipeline spec as itself.
+    """
+    from repro.tenants.scheduler import run_tenants
+    from repro.workflow.runner import run_pipeline
+
+    if isinstance(config, TenantSpec):
+        return run_tenants(config)
+    if isinstance(config, WorkflowConfig):
+        config = config.to_pipeline()
+    return run_pipeline(config)
+
+
 def _execute_case(payload: Tuple[int, str, str, AnyConfig]) -> Tuple[int, SweepRecord]:
     """Run one case; module-level so worker processes can unpickle it."""
     index, label, digest, config = payload
-    from repro.tenants.scheduler import run_tenants
-    from repro.tenants.spec import TenantSpec
-    from repro.workflow.pipeline import PipelineSpec
-    from repro.workflow.runner import run_pipeline, run_workflow
-
     record = SweepRecord(label=label, config_hash=digest, seed=config.seed)
     start = time.perf_counter()
     try:
-        if isinstance(config, TenantSpec):
-            record.result = run_tenants(config)
-        elif isinstance(config, PipelineSpec):
-            record.result = run_pipeline(config)
-        else:
-            record.result = run_workflow(config)
+        record.result = run_config(config)
     except Exception as exc:  # noqa: BLE001 - one bad scenario must not kill the sweep
         record.ok = False
         record.error = traceback.format_exc(limit=8)

@@ -6,7 +6,7 @@ hand-roll nested ``for`` loops over those axes.  :class:`ParamGrid` captures
 one such grid declaratively: a base :class:`~repro.workflow.config.WorkflowConfig`,
 an ordered set of axes, and a labelling rule.  :class:`SweepSpec` bundles one
 or more grids (plus any hand-picked cases) under a name, and expands them into
-the flat ``(label, config)`` list the runner and the legacy bench API consume.
+the flat list of labelled :class:`SweepCase` objects the runner executes.
 
 Axis values are applied through the base config's ``replace``; axis names
 that are not config fields (e.g. a synthetic-workload complexity) are
@@ -16,10 +16,11 @@ special axis name ``machine`` accepts a preset name from
 :mod:`repro.cluster.presets`.
 
 The base config may be a two-application
-:class:`~repro.workflow.config.WorkflowConfig` *or* a multi-stage
+:class:`~repro.workflow.config.WorkflowConfig`, a multi-stage
 :class:`~repro.workflow.pipeline.PipelineSpec` — pipeline grids can sweep
 over graph shapes by making ``stages``/``couplings`` overrides in a
-``derive`` hook.
+``derive`` hook — or a multi-tenant :class:`~repro.tenants.spec.TenantSpec`;
+:func:`~repro.sweep.runner.run_config` runs any of them.
 """
 
 from __future__ import annotations
@@ -241,10 +242,6 @@ class SweepSpec:
                 raise ValueError(f"duplicate case label {case.label!r} in sweep {self.name!r}")
             seen[case.label] = case.label
         return out
-
-    def configs(self) -> List[Tuple[str, AnyConfig]]:
-        """The legacy ``(label, config)`` list shape used by the bench layer."""
-        return [(case.label, case.config) for case in self.cases()]
 
     def __len__(self) -> int:
         return sum(len(g) for g in self.grids) + len(self.extra_cases)

@@ -75,6 +75,7 @@ class ArrivalProcess:
 
     def __post_init__(self) -> None:
         """Validate the process eagerly so bad queues fail at build time."""
+        # Float checks are written so that NaN fails them too.
         if self.kind not in ("fixed", "poisson", "bursty"):
             raise ValueError(
                 f"unknown arrival kind {self.kind!r}; "
@@ -85,18 +86,18 @@ class ArrivalProcess:
         if self.kind == "fixed":
             if not self.times:
                 raise ValueError("fixed arrivals need at least one time")
-            if any(t < 0 for t in self.times):
+            if not all(t >= 0 for t in self.times):
                 raise ValueError("arrival times must be >= 0")
             if list(self.times) != sorted(self.times):
                 raise ValueError("fixed arrival times must be sorted")
         else:
             if self.count <= 0:
                 raise ValueError(f"{self.kind} arrivals need count > 0")
-            if self.rate <= 0:
+            if not self.rate > 0:
                 raise ValueError(f"{self.kind} arrivals need rate > 0")
         if self.kind == "bursty" and self.burst_size <= 0:
             raise ValueError("burst_size must be positive")
-        if self.start < 0:
+        if not self.start >= 0:
             raise ValueError(f"start must be >= 0, got {self.start}")
 
     @classmethod
@@ -170,6 +171,7 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         """Validate the job eagerly so bad queues fail at build time."""
+        # Float checks are written so that NaN fails them too.
         from repro.workflow.pipeline import PipelineSpec
 
         if not self.name:
@@ -180,9 +182,9 @@ class JobSpec:
             raise ValueError(
                 f"JobSpec.pipeline must be a PipelineSpec, got {type(self.pipeline)!r}"
             )
-        if self.arrival < 0:
+        if not self.arrival >= 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
 
     @property
@@ -269,7 +271,7 @@ class TenantSpec:
                 "capacity_cores must fit the largest job "
                 f"({max(job.demand for job in self.jobs)} cores)"
             )
-        if self.epoch_seconds <= 0:
+        if not self.epoch_seconds > 0:  # NaN fails this too
             raise ValueError(f"epoch_seconds must be positive, got {self.epoch_seconds}")
 
     @property

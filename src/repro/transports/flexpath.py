@@ -65,7 +65,7 @@ class FlexpathTransport(Transport):
         the "no optimized support for multiple processes per node" effect the
         paper identified.
         """
-        ranks_per_node = ctx.config.cluster.node.cores
+        ranks_per_node = ctx.cluster.cores_per_node
         node_rate = self.socket_node_bandwidth / (
             1.0 + self.socket_contention * max(0, ranks_per_node - 1)
         )

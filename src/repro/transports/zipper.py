@@ -73,7 +73,7 @@ class ZipperTransport(Transport):
         preserve: Optional[bool] = None,
         counter_queries: int = 10,
     ):
-        #: ``None`` means "take the value from the workflow config".
+        #: ``None`` means "take the value from the coupling context".
         self._concurrent_override = concurrent_transfer
         self._preserve_override = preserve
         self.counter_queries = counter_queries
@@ -85,17 +85,17 @@ class ZipperTransport(Transport):
     def _concurrent(self, ctx) -> bool:
         if self._concurrent_override is not None:
             return self._concurrent_override
-        return ctx.config.concurrent_transfer
+        return ctx.concurrent_transfer
 
     def _preserve(self, ctx) -> bool:
         if self._preserve_override is not None:
             return self._preserve_override
-        return ctx.config.preserve
+        return ctx.preserve
 
     # -- setup -----------------------------------------------------------------
     def setup(self, ctx) -> None:
         env = ctx.env
-        capacity = ctx.config.producer_buffer_blocks
+        capacity = ctx.producer_buffer_blocks
         for rank in range(ctx.sim_ranks):
             state = _ProducerState(env, capacity)
             self._producers[rank] = state
@@ -130,7 +130,7 @@ class ZipperTransport(Transport):
         stats = ctx.stats
         buffer = state.buffer
         items = buffer.items
-        hwm = ctx.config.high_water_mark
+        hwm = ctx.high_water_mark
         note_level = ctx.note_buffer_level
         for index in range(blocks):
             desc = BlockDescriptor(rank, step, index, block_bytes)
@@ -196,7 +196,7 @@ class ZipperTransport(Transport):
     def _writer_process(self, ctx, rank: int, state: _ProducerState) -> Generator:
         """Algorithm 1: steal blocks onto the file path while above the high-water mark."""
         env = ctx.env
-        hwm = ctx.config.high_water_mark
+        hwm = ctx.high_water_mark
         fs = ctx.cluster.filesystem
         node = ctx.sim_node(rank)
         while True:

@@ -14,9 +14,10 @@ returns a :class:`WorkflowResult` with end-to-end time, per-stage and
 per-coupling breakdowns, stall/lock/barrier accounting, network counters and,
 when requested, a full trace.
 
-The historical two-application API — :class:`WorkflowConfig`,
-:class:`WorkflowRunner` and :func:`run_workflow` — remains as a shim that
-lowers to a two-stage pipeline (``WorkflowConfig.to_pipeline()``).
+The paper's two-application runs are described by a :class:`WorkflowConfig`.
+Sweep stores key results by its field hash, so it stays a case type of its
+own; it runs as the two-stage pipeline it builds,
+``run_pipeline(config.to_pipeline())``.
 
 The resource split between stages may be made *elastic* by attaching an
 :class:`~repro.elastic.policy.ElasticPolicy` to the spec (``elastic=...``):
@@ -31,33 +32,21 @@ behaviour (Figures 14–18) is preserved.
 """
 
 from repro.workflow.config import WorkflowConfig
-from repro.workflow.context import CouplingContext, PipelineContext, WorkflowContext
-from repro.workflow.pipeline import CouplingSpec, PipelineSpec, StageSpec, lower_config
+from repro.workflow.context import CouplingContext, PipelineContext
+from repro.workflow.pipeline import CouplingSpec, PipelineSpec, StageSpec
 from repro.workflow.result import WorkflowResult, StageBreakdown
-from repro.workflow.runner import (
-    PipelineRunner,
-    WorkflowRunner,
-    pipeline_simulation_only_time,
-    run_pipeline,
-    run_workflow,
-    simulation_only_time,
-)
+from repro.workflow.runner import PipelineRunner, pipeline_simulation_only_time, run_pipeline
 
 __all__ = [
     "WorkflowConfig",
-    "WorkflowContext",
     "CouplingContext",
     "PipelineContext",
     "StageSpec",
     "CouplingSpec",
     "PipelineSpec",
-    "lower_config",
     "WorkflowResult",
     "StageBreakdown",
-    "WorkflowRunner",
     "PipelineRunner",
-    "run_workflow",
     "run_pipeline",
-    "simulation_only_time",
     "pipeline_simulation_only_time",
 ]

@@ -1,4 +1,9 @@
-"""Configuration of one simulated workflow run."""
+"""The two-application case config: one simulation coupled to one analysis.
+
+Sweep stores key its results by its field hash (``config_hash``), so it stays
+a case type of its own; it runs as the two-stage pipeline that
+:meth:`WorkflowConfig.to_pipeline` builds.
+"""
 
 from __future__ import annotations
 
@@ -134,7 +139,52 @@ class WorkflowConfig:
         return replace(self, **changes)
 
     def to_pipeline(self) -> "PipelineSpec":
-        """Lower to the equivalent two-stage :class:`~repro.workflow.pipeline.PipelineSpec`."""
-        from repro.workflow.pipeline import lower_config
+        """The equivalent two-stage :class:`~repro.workflow.pipeline.PipelineSpec`.
 
-        return lower_config(self)
+        A ``simulation`` stage feeds an ``analysis`` stage over the config's
+        transport; ``extras`` become the coupling's transport options.
+        """
+        from repro.workflow.pipeline import CouplingSpec, PipelineSpec, StageSpec
+
+        simulation = StageSpec(
+            name="simulation",
+            workload=self.workload,
+            representative_ranks=self.sim_ranks,
+            total_ranks=self.total_sim_ranks,
+            role="producer",
+        )
+        analysis = StageSpec(
+            name="analysis",
+            workload=self.workload,
+            representative_ranks=self.analysis_ranks,
+            total_ranks=self.total_analysis_ranks,
+            role="analysis",
+        )
+        coupling = CouplingSpec(
+            source="simulation",
+            target="analysis",
+            transport=self.transport,
+            transport_options=dict(self.extras),
+            block_bytes=self.block_bytes,
+            producer_buffer_blocks=self.producer_buffer_blocks,
+            high_water_mark=self.high_water_mark,
+            staging_ranks_per_8=self.staging_ranks_per_8_sim,
+        )
+        return PipelineSpec(
+            stages=(simulation, analysis),
+            couplings=(coupling,),
+            cluster=self.cluster,
+            total_cores=self.total_cores,
+            ranks_per_modelled_node=self.ranks_per_modelled_node,
+            block_bytes=self.block_bytes,
+            producer_buffer_blocks=self.producer_buffer_blocks,
+            high_water_mark=self.high_water_mark,
+            concurrent_transfer=self.concurrent_transfer,
+            preserve=self.preserve,
+            steps=self.num_steps,
+            trace=self.trace,
+            deterministic=self.deterministic,
+            seed=self.seed,
+            staging_ranks_per_8_sim=self.staging_ranks_per_8_sim,
+            label=self.label,
+        )

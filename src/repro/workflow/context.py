@@ -15,24 +15,24 @@ Two layers:
 
 Transports are given the coupling context in every call and must not hold
 global state outside it, so several workflow runs can coexist in one process.
-``WorkflowContext`` remains as an alias of :class:`CouplingContext` for the
-legacy two-application API.
+The coupling's buffering policy and optimisation toggles are plain attributes
+of the context (``producer_buffer_blocks``, ``high_water_mark``,
+``concurrent_transfer``, ``preserve``), resolved from the coupling spec and
+the pipeline defaults.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.machine import Cluster
 from repro.cluster.node import RateFactors
-from repro.cluster.spec import ClusterSpec
 from repro.simmpi.comm import Communicator
 from repro.trace import Tracer
 from repro.workflow.pipeline import CouplingSpec, PipelineSpec
 
-__all__ = ["PipelinePlacement", "PipelineContext", "CouplingContext", "WorkflowContext"]
+__all__ = ["PipelinePlacement", "PipelineContext", "CouplingContext"]
 
 
 class PipelinePlacement:
@@ -40,8 +40,8 @@ class PipelinePlacement:
 
     Stages occupy contiguous node ranges in declaration order; each coupling's
     staging/link ranks occupy further ranges after all the stage nodes, in
-    coupling order.  (For the lowered two-stage pipeline this reproduces the
-    legacy ``sim | analysis | staging`` layout bit for bit.)
+    coupling order.  (For a two-application config's pipeline this is the
+    ``sim | analysis | staging`` layout.)
     """
 
     def __init__(self, pipeline: PipelineSpec):
@@ -105,23 +105,6 @@ class PipelinePlacement:
                 node = self.staging_node(coupling.name, srank)
                 counts[node] = counts.get(node, 0) + 1
         return counts
-
-
-@dataclass
-class CouplingSettings:
-    """The per-coupling slice of the run configuration transports read.
-
-    Exactly the fields transports read off ``ctx.config`` — buffering policy,
-    optimisation toggles, the cluster spec — resolved for one specific
-    coupling.  Everything else a transport needs (block size, staging counts,
-    steps, seeds) lives directly on the :class:`CouplingContext`.
-    """
-
-    cluster: ClusterSpec
-    producer_buffer_blocks: int
-    high_water_mark: int
-    concurrent_transfer: bool
-    preserve: bool
 
 
 class PipelineContext:
@@ -217,8 +200,8 @@ class PipelineContext:
 
         Aggregated over *all* source stages (totals over modelled counts), so
         fan-in pipelines whose sources represent differently-sized jobs get a
-        modelled-rank-weighted factor; for a single source this is exactly the
-        legacy ``total_sim_ranks / sim_ranks``.
+        modelled-rank-weighted factor; for a single source this is exactly
+        ``total_sim_ranks / sim_ranks``.
         """
         sources = self.pipeline.sources  # non-empty: every DAG has a source
         total = sum(self.placement.stage_total_ranks[s.name] for s in sources)
@@ -249,6 +232,11 @@ class CouplingContext:
         self.workload = pipeline.stage(spec.source).workload
         self.block_bytes = pipeline.coupling_block_bytes(spec)
         self.steps = pipeline_ctx.stage_steps[spec.source]
+        #: The coupling's buffer policy and the run-wide transfer toggles.
+        self.producer_buffer_blocks = pipeline.coupling_buffer_blocks(spec)
+        self.high_water_mark = pipeline.coupling_high_water_mark(spec)
+        self.concurrent_transfer = pipeline.concurrent_transfer
+        self.preserve = pipeline.preserve
 
         self.sim_ranks = placement.stage_ranks[spec.source]
         self.analysis_ranks = placement.stage_ranks[spec.target]
@@ -294,14 +282,6 @@ class CouplingContext:
             represented_size=self.total_analysis_ranks,
             tracer=self.tracer,
             name=spec.target,
-        )
-
-        self.config = CouplingSettings(
-            cluster=pipeline.cluster,
-            producer_buffer_blocks=pipeline.coupling_buffer_blocks(spec),
-            high_water_mark=pipeline.coupling_high_water_mark(spec),
-            concurrent_transfer=pipeline.concurrent_transfer,
-            preserve=pipeline.preserve,
         )
 
     # -- placement ---------------------------------------------------------
@@ -449,11 +429,6 @@ class CouplingContext:
 
     def __repr__(self) -> str:
         return f"<CouplingContext {self.name!r} transport={self.spec.transport!r}>"
-
-
-#: Legacy name: the context the two-application API hands to transports is the
-#: coupling context of its single coupling.
-WorkflowContext = CouplingContext
 
 
 def _ceil_div(a: int, b: int) -> int:

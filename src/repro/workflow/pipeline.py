@@ -14,9 +14,8 @@ This module captures that idea declaratively:
   plus the run-wide knobs (cluster, total cores, steps, seed, ...).
 
 A classic two-application run is the special case of a two-stage pipeline with
-a single coupling; :func:`lower_config` performs exactly that lowering from a
-legacy :class:`~repro.workflow.config.WorkflowConfig`, which is how the old
-API keeps working unchanged on top of the pipeline runner.
+a single coupling: :meth:`~repro.workflow.config.WorkflowConfig.to_pipeline`
+builds exactly that pipeline from a two-application config.
 
 Execution semantics (see :class:`~repro.workflow.runner.PipelineRunner`):
 
@@ -34,7 +33,7 @@ Execution semantics (see :class:`~repro.workflow.runner.PipelineRunner`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.costs import WorkloadModel
 from repro.cluster.spec import ClusterSpec
@@ -43,10 +42,7 @@ from repro.faults.plan import FaultPlan
 from repro.transports.null import NullTransport
 from repro.transports.registry import transport_class
 
-if TYPE_CHECKING:
-    from repro.workflow.config import WorkflowConfig
-
-__all__ = ["StageSpec", "CouplingSpec", "PipelineSpec", "lower_config", "MiB"]
+__all__ = ["StageSpec", "CouplingSpec", "PipelineSpec", "MiB"]
 
 MiB = 1024 * 1024
 
@@ -108,13 +104,13 @@ class StageSpec:
             )
         if self.total_ranks is not None and self.total_ranks <= 0:
             raise ValueError(f"stage {self.name!r} has a non-positive total_ranks")
-        if self.output_fraction <= 0:
+        if not self.output_fraction > 0:
             raise ValueError(f"stage {self.name!r} needs output_fraction > 0")
         if self.min_core_fraction is not None and not 0.0 < self.min_core_fraction <= 1.0:
             raise ValueError(
                 f"stage {self.name!r} needs min_core_fraction in (0, 1] (or None)"
             )
-        if self.granted_cores is not None and self.granted_cores <= 0:
+        if self.granted_cores is not None and not self.granted_cores > 0:
             raise ValueError(f"stage {self.name!r} needs granted_cores > 0 (or None)")
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError(
@@ -179,8 +175,8 @@ class PipelineSpec:
 
     The stage order given here is also the node-placement order: stages get
     contiguous node ranges in declaration order, followed by each coupling's
-    staging nodes in coupling order (matching the legacy sim | analysis |
-    staging layout for the lowered two-stage case).
+    staging nodes in coupling order (the sim | analysis | staging layout of
+    a two-application config's pipeline).
     """
 
     stages: Tuple[StageSpec, ...]
@@ -508,54 +504,3 @@ class PipelineSpec:
         """A copy of the pipeline spec with ``changes`` applied (re-validated)."""
         return replace(self, **changes)
 
-
-def lower_config(config: "WorkflowConfig") -> PipelineSpec:
-    """Lower a legacy two-application :class:`WorkflowConfig` to a pipeline.
-
-    The result is the exact two-stage, one-coupling pipeline the old runner
-    hardcoded: a ``simulation`` stage feeding an ``analysis`` stage over the
-    config's transport, with the config's ``extras`` becoming the coupling's
-    transport options.
-    """
-    simulation = StageSpec(
-        name="simulation",
-        workload=config.workload,
-        representative_ranks=config.sim_ranks,
-        total_ranks=config.total_sim_ranks,
-        role="producer",
-    )
-    analysis = StageSpec(
-        name="analysis",
-        workload=config.workload,
-        representative_ranks=config.analysis_ranks,
-        total_ranks=config.total_analysis_ranks,
-        role="analysis",
-    )
-    coupling = CouplingSpec(
-        source="simulation",
-        target="analysis",
-        transport=config.transport,
-        transport_options=dict(config.extras),
-        block_bytes=config.block_bytes,
-        producer_buffer_blocks=config.producer_buffer_blocks,
-        high_water_mark=config.high_water_mark,
-        staging_ranks_per_8=config.staging_ranks_per_8_sim,
-    )
-    return PipelineSpec(
-        stages=(simulation, analysis),
-        couplings=(coupling,),
-        cluster=config.cluster,
-        total_cores=config.total_cores,
-        ranks_per_modelled_node=config.ranks_per_modelled_node,
-        block_bytes=config.block_bytes,
-        producer_buffer_blocks=config.producer_buffer_blocks,
-        high_water_mark=config.high_water_mark,
-        concurrent_transfer=config.concurrent_transfer,
-        preserve=config.preserve,
-        steps=config.num_steps,
-        trace=config.trace,
-        deterministic=config.deterministic,
-        seed=config.seed,
-        staging_ranks_per_8_sim=config.staging_ranks_per_8_sim,
-        label=config.label,
-    )

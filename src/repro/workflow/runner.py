@@ -13,9 +13,8 @@ simulation to completion.  Stage processes come in two shapes:
   when they also have outbound couplings — forward each fully-consumed step
   downstream, which is how sim → analysis → visualization chains pipeline.
 
-:class:`WorkflowRunner` is the legacy two-application API, now a thin shim
-that lowers its :class:`~repro.workflow.config.WorkflowConfig` to a two-stage
-pipeline and delegates.
+A two-application :class:`~repro.workflow.config.WorkflowConfig` runs as the
+two-stage pipeline it builds: ``run_pipeline(config.to_pipeline())``.
 
 When the pipeline carries an :class:`~repro.elastic.policy.ElasticPolicy`
 (or a :class:`~repro.elastic.model_driven.ModelDrivenPolicy`), the runner
@@ -45,25 +44,15 @@ from repro.simcore import AllOf, Container, Environment, OneShotSignal, Store
 from repro.trace import Tracer
 from repro.transports.base import Transport, TransportFault
 from repro.transports.registry import create_transport
-from repro.workflow.config import WorkflowConfig
-from repro.workflow.context import CouplingContext, PipelineContext, PipelinePlacement
-from repro.workflow.pipeline import PipelineSpec, lower_config
+from repro.workflow.context import PipelineContext, PipelinePlacement
+from repro.workflow.pipeline import PipelineSpec
 from repro.workflow.result import StageBreakdown, WorkflowResult
 
 __all__ = [
     "PipelineRunner",
-    "WorkflowRunner",
     "run_pipeline",
-    "run_workflow",
-    "simulation_only_time",
     "pipeline_simulation_only_time",
 ]
-
-
-def simulation_only_time(config: WorkflowConfig) -> float:
-    """Analytic simulation-only lower bound (compute kernels on the target cores)."""
-    per_step = config.workload.sim_step_seconds_for_block(config.effective_block_bytes)
-    return per_step * config.num_steps / config.cluster.node.core_speed
 
 
 def pipeline_simulation_only_time(pipeline: PipelineSpec) -> float:
@@ -796,46 +785,11 @@ class PipelineRunner:
         }
 
 
-class WorkflowRunner:
-    """Legacy two-application API: lowers the config to a two-stage pipeline.
-
-    Keeps the historical surface — ``config``, ``transport``, ``cluster``,
-    ``ctx`` (the single coupling's context) and :meth:`run` — while all
-    execution happens in :class:`PipelineRunner`.
-    """
-
-    def __init__(self, config: WorkflowConfig, transport: Optional[Transport] = None):
-        self.config = config
-        pipeline = lower_config(config)
-        overrides: Optional[Dict[str, Transport]] = None
-        if transport is not None:
-            overrides = {pipeline.couplings[0].name: transport}
-        self._runner = PipelineRunner(pipeline, transports=overrides)
-        self.pipeline = pipeline
-        self.transport = self._runner.transports[pipeline.couplings[0].name]
-        self.tracer = self._runner.tracer
-        self.cluster = self._runner.cluster
-        self.ctx: CouplingContext = self._runner.ctx.couplings[0]
-
-    def run(self) -> WorkflowResult:
-        """Run the lowered pipeline and return the legacy-shaped result."""
-        result = self._runner.run()
-        # The legacy analytic lower bound is defined on the config (identical
-        # for faithful lowerings, but keep the historical code path).
-        result.simulation_only_time = simulation_only_time(self.config)
-        return result
-
-
 def _mean(values) -> float:
     values = list(values)
     if not values:
         return 0.0
     return sum(values) / len(values)
-
-
-def run_workflow(config: WorkflowConfig, transport: Optional[Transport] = None) -> WorkflowResult:
-    """Convenience wrapper: build a :class:`WorkflowRunner` and run it."""
-    return WorkflowRunner(config, transport).run()
 
 
 def run_pipeline(

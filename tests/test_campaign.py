@@ -115,7 +115,10 @@ class TestWorkBoard:
         board.lease("w2")  # speculative copy
         assert board.record_result("case-0", "hash-0", ok=True) == "done"
         assert board.record_result("case-0", "hash-0", ok=True) == "duplicate"
-        assert board.duplicates_dropped == 1
+        # A failure reported after the success is dropped too: no retry.
+        assert board.record_result("case-0", "hash-0", False, "transient") == "duplicate"
+        assert board.retries_scheduled == 0
+        assert board.duplicates_dropped == 2
         assert board.complete
 
     def test_transient_failure_retries_after_backoff(self):
@@ -268,11 +271,31 @@ class TestCampaignEndToEnd:
                     failed_once.add(label)
                     raise OSError(f"injected transient fault in {label}")
 
+        # Spy on the board: the coordinator calls it under its lock, so the
+        # recorded actions are in merge order.
+        failure_actions = []
+        record_result = campaign.board.record_result
+
+        def spy(label, config_hash, ok, error_kind=""):
+            action = record_result(label, config_hash, ok, error_kind)
+            if not ok:
+                failure_actions.append(action)
+            return action
+
+        campaign.board.record_result = spy
         _run_campaign(campaign, failure_hook=fail_first_attempt)
         assert campaign.board.counts() == {
             "total": 9, "pending": 0, "leased": 0, "done": 9, "poisoned": 0,
         }
-        assert campaign.board.retries_scheduled == 9
+        # Every injected failure reaches the board.  It schedules a retry,
+        # unless an idle worker's speculative copy of the case reported
+        # success first: then the failure is a dropped duplicate (first
+        # result wins) and no retry is due.
+        assert len(failure_actions) == 9
+        assert set(failure_actions) <= {"retry", "duplicate"}
+        assert failure_actions.count("retry") == campaign.board.retries_scheduled
+        if "duplicate" in failure_actions:
+            assert campaign.board.leases_stolen > 0
         # Failed attempts never shadow the retry that succeeded.
         assert store.canonical_bytes() == _serial_baseline(tmp_path).canonical_bytes()
 

@@ -15,7 +15,10 @@ class TestNodeSpec:
         assert spec.cores == 28
         assert spec.memory_bytes == 128 * GiB
 
-    @pytest.mark.parametrize("field,value", [("cores", 0), ("memory_bytes", 0), ("core_speed", 0.0)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("cores", 0), ("memory_bytes", 0), ("core_speed", 0.0), ("core_speed", float("nan"))],
+    )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             NodeSpec(**{field: value})
@@ -37,6 +40,13 @@ class TestNetworkSpec:
             {"max_congestion_penalty": 0.5},
             {"flit_bytes": 0},
             {"latency": -1e-6},
+            # NaN fails every comparison, so each check must reject it.
+            {"link_bandwidth": float("nan")},
+            {"core_link_bandwidth": float("nan")},
+            {"latency": float("nan")},
+            {"per_message_overhead": float("nan")},
+            {"congestion_alpha": float("nan")},
+            {"max_congestion_penalty": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -61,6 +71,11 @@ class TestFileSystemSpec:
             {"fabric_weight": 1.5},
             {"job_share": 0.0},
             {"service_cv": -1.0},
+            # NaN fails every comparison, so each check must reject it.
+            {"ost_bandwidth": float("nan")},
+            {"client_node_bandwidth": float("nan")},
+            {"metadata_latency": float("nan")},
+            {"service_cv": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

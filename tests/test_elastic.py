@@ -91,6 +91,13 @@ class TestElasticPolicy:
             {"lease_step": 0.0},
             {"min_bandwidth_share": 0.0},
             {"max_bandwidth_share": 0.5},
+            # NaN fails every comparison, so each check must reject it.
+            {"epoch_seconds": float("nan")},
+            {"stall_threshold": float("nan")},
+            {"starved_threshold": float("nan")},
+            {"starved_occupancy": float("nan")},
+            {"saturated_threshold": float("nan")},
+            {"max_bandwidth_share": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

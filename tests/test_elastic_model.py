@@ -55,6 +55,12 @@ class TestModelDrivenPolicy:
             {"deadband_fraction": -0.5},
             {"max_assist_ranks": -1},
             {"min_progress_steps": -1.0},
+            # NaN fails every comparison, so each check must reject it.
+            {"proportional_gain": float("nan")},
+            {"integral_gain": float("nan")},
+            {"derivative_gain": float("nan")},
+            {"deadband_fraction": float("nan")},
+            {"min_progress_steps": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -15,7 +15,7 @@ from repro.apps.costs import MiB, synthetic_workload
 from repro.bench.experiments import (
     elastic_burst_pipeline,
     elastic_default_policy,
-    figure2_configs,
+    figure2_spec,
     model_driven_default_policy,
     pipeline_chain,
     pipeline_fanout,
@@ -28,9 +28,14 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.simcore import Environment, PooledTimeout, SimulationError
 from repro.tenants import JobSpec, TenantScheduler, TenantSpec
 from repro.workflow import CouplingSpec, PipelineSpec, StageSpec
-from repro.workflow.pipeline import lower_config
 from repro.workflow.runner import run_pipeline
 from repro.sweep.store import result_payload
+
+
+#: ``(label, config)`` pairs of a small Figure 2 grid (every transport).
+FIGURE2_CASES = [
+    (case.label, case.config) for case in figure2_spec(steps=4, representative_sim_ranks=4).cases()
+]
 
 
 def payload_pair(pipeline):
@@ -250,17 +255,17 @@ class TestComputeFastPath:
 class TestCoalescingBitIdentity:
     @pytest.mark.parametrize(
         "label,config",
-        figure2_configs(steps=4, representative_sim_ranks=4),
+        FIGURE2_CASES,
         ids=lambda val: val if isinstance(val, str) else "",
     )
     def test_all_transports(self, label, config):
         """Fast path on vs off across every transport of Figure 2 (+ zipper/none)."""
-        fast, slow = payload_pair(lower_config(config))
+        fast, slow = payload_pair(config.to_pipeline())
         assert fast == slow
 
     @pytest.mark.parametrize(
         "label,config",
-        figure2_configs(steps=4, representative_sim_ranks=4),
+        FIGURE2_CASES,
         ids=lambda val: val if isinstance(val, str) else "",
     )
     def test_empty_fault_plan_is_inert(self, label, config):
@@ -272,7 +277,7 @@ class TestCoalescingBitIdentity:
         """
         from repro.faults import FaultPlan
 
-        pipeline = lower_config(config)
+        pipeline = config.to_pipeline()
         baseline = payload_pair(pipeline)
         with_plan = payload_pair(pipeline.replace(faults=FaultPlan.none()))
         assert with_plan == baseline
@@ -301,11 +306,11 @@ class TestEventPoolingBitIdentity:
 
     @pytest.mark.parametrize(
         "label,config",
-        figure2_configs(steps=4, representative_sim_ranks=4),
+        FIGURE2_CASES,
         ids=lambda val: val if isinstance(val, str) else "",
     )
     def test_all_transports(self, label, config):
-        pipeline = lower_config(config)
+        pipeline = config.to_pipeline()
         pooled = run_pipeline(pipeline.replace(pool_events=True))
         fresh = run_pipeline(pipeline.replace(pool_events=False))
         assert result_payload(pooled) == result_payload(fresh)

@@ -52,6 +52,11 @@ class TestFaultSpecValidation:
             severity = 4.0 if kind == "straggler" else 0.5
             with pytest.raises(ValueError, match="positive duration"):
                 FaultSpec(kind=kind, time=1.0, target="x", severity=severity)
+            # NaN fails every comparison, so each check must reject it.
+            with pytest.raises(ValueError, match="positive duration"):
+                FaultSpec(
+                    kind=kind, time=1.0, target="x", duration=float("nan"), severity=severity
+                )
 
     def test_crash_duration_is_computed_not_specified(self):
         with pytest.raises(ValueError, match="duration must stay 0"):
@@ -60,6 +65,10 @@ class TestFaultSpecValidation:
     def test_straggler_severity_is_a_slowdown(self):
         with pytest.raises(ValueError, match="slowdown factor"):
             FaultSpec(kind="straggler", time=1.0, target="x", duration=1.0, severity=0.5)
+        with pytest.raises(ValueError, match="slowdown factor"):
+            FaultSpec(
+                kind="straggler", time=1.0, target="x", duration=1.0, severity=float("nan")
+            )
 
     def test_bandwidth_severity_stays_in_unit_interval(self):
         for kind in ("link_degrade", "transport_restart"):
@@ -69,6 +78,8 @@ class TestFaultSpecValidation:
     def test_negative_time_and_rank_rejected(self):
         with pytest.raises(ValueError, match="time"):
             FaultSpec(kind="node_crash", time=-1.0, target="x")
+        with pytest.raises(ValueError, match="time"):
+            FaultSpec(kind="node_crash", time=float("nan"), target="x")
         with pytest.raises(ValueError, match="rank"):
             FaultSpec(kind="node_crash", time=1.0, target="x", rank=-1)
 
@@ -87,6 +98,8 @@ class TestFaultPlan:
     def test_negative_recovery_cost_rejected(self):
         with pytest.raises(ValueError, match="recovery_seconds"):
             FaultPlan(recovery_seconds=-0.1)
+        with pytest.raises(ValueError, match="recovery_seconds"):
+            FaultPlan(recovery_seconds=float("nan"))
 
     def test_seeded_is_deterministic_per_label_and_seed(self):
         kwargs = dict(horizon=10.0, couplings=("a->b",))
@@ -215,7 +228,8 @@ class TestDegradedNodeBookkeeping:
 
     def test_elastic_run_reroutes_around_the_same_plan(self):
         """With the identical fault schedule, elastic control beats static."""
-        cases = dict(fault_recovery_spec(steps=12, checkpoint_intervals=(4,)).configs())
+        spec = fault_recovery_spec(steps=12, checkpoint_intervals=(4,))
+        cases = {case.label: case.config for case in spec.cases()}
         static = run_pipeline(cases["static/ckpt-4"])
         elastic = run_pipeline(cases["elastic/ckpt-4"])
         assert static.faults and len(static.faults) == len(elastic.faults)

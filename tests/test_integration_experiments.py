@@ -12,30 +12,31 @@ import pytest
 from repro.apps.costs import MiB, cfd_workload, lammps_workload, synthetic_workload
 from repro.bench.experiments import (
     FIGURE2_TRANSPORTS,
-    figure2_configs,
-    figure12_configs,
-    figure14_configs,
+    figure2_spec,
+    figure12_spec,
+    figure14_spec,
     trace_config,
 )
 from repro.cluster.presets import stampede2
 from repro.trace import compare_traces, summarize_categories
-from repro.workflow import WorkflowConfig, run_workflow
+from repro.workflow import WorkflowConfig, run_pipeline
 
 
 class TestBenchDescriptors:
     def test_figure2_covers_all_seven_methods(self):
-        labels = [t for t, _ in figure2_configs(steps=3)]
+        labels = [case.label for case in figure2_spec(steps=3).cases()]
         for method in FIGURE2_TRANSPORTS:
             assert method in labels
         assert "zipper" in labels and "none" in labels
 
     def test_figure12_covers_both_block_sizes_and_all_complexities(self):
-        labels = [label for label, _ in figure12_configs(data_per_rank=16 * MiB)]
+        labels = [case.label for case in figure12_spec(data_per_rank=16 * MiB).cases()]
         assert len(labels) == 6
         assert any("8MB" in lbl for lbl in labels) and any("O(n^1.5)" in lbl for lbl in labels)
 
     def test_figure14_pairs_mpi_only_with_concurrent(self):
-        labels = [label for label, _ in figure14_configs(data_per_rank=16 * MiB, core_counts=(84,))]
+        spec = figure14_spec(data_per_rank=16 * MiB, core_counts=(84,))
+        labels = [case.label for case in spec.cases()]
         assert sum("mpi-only" in lbl for lbl in labels) == 3
         assert sum("concurrent" in lbl for lbl in labels) == 3
 
@@ -49,7 +50,8 @@ class TestFigure2Shape:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return {t: run_workflow(cfg) for t, cfg in figure2_configs(steps=4, representative_sim_ranks=4)}
+        spec = figure2_spec(steps=4, representative_sim_ranks=4)
+        return {case.label: run_pipeline(case.config.to_pipeline()) for case in spec.cases()}
 
     def test_every_method_completes(self, results):
         assert all(not r.failed for r in results.values())
@@ -85,7 +87,7 @@ class TestFigure14Shape:
             high_water_mark=6,
             concurrent_transfer=concurrent,
         )
-        return run_workflow(cfg)
+        return run_pipeline(cfg.to_pipeline())
 
     def test_transfer_bound_producer_benefits(self):
         mpi_only = self._run("O(n)", False)
@@ -113,7 +115,7 @@ class TestScalabilityShape:
             representative_sim_ranks=4,
             steps=4,
         )
-        return run_workflow(cfg)
+        return run_pipeline(cfg.to_pipeline())
 
     def test_zipper_tracks_simulation_only_across_scales(self):
         for cores in (204, 3264, 13056):
@@ -137,15 +139,15 @@ class TestTraceShape:
     """Figures 5/6/17: interference and step counts visible in the traces."""
 
     def test_decaf_inflates_sendrecv_and_stalls(self):
-        alone = run_workflow(trace_config("none", "cfd", 204, steps=5))
-        decaf = run_workflow(trace_config("decaf", "cfd", 204, steps=5))
+        alone = run_pipeline(trace_config("none", "cfd", 204, steps=5).to_pipeline())
+        decaf = run_pipeline(trace_config("decaf", "cfd", 204, steps=5).to_pipeline())
         sendrecv_alone = summarize_categories(alone.tracer, rank=0).get("sendrecv", 0.0)
         sendrecv_decaf = summarize_categories(decaf.tracer, rank=0).get("sendrecv", 0.0)
         assert sendrecv_decaf >= sendrecv_alone * 0.99
         assert summarize_categories(decaf.tracer, rank=0).get("waitall", 0.0) > 0
 
     def test_zipper_fits_more_steps_than_decaf_in_the_same_window(self):
-        zipper = run_workflow(trace_config("zipper", "cfd", 204, steps=6))
-        decaf = run_workflow(trace_config("decaf", "cfd", 204, steps=6))
+        zipper = run_pipeline(trace_config("zipper", "cfd", 204, steps=6).to_pipeline())
+        decaf = run_pipeline(trace_config("decaf", "cfd", 204, steps=6).to_pipeline())
         cmp = compare_traces(zipper.tracer, decaf.tracer, window=2.0, rank=0)
         assert cmp["ratio"] >= 1.0

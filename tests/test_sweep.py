@@ -11,13 +11,11 @@ from repro.apps.costs import MiB, cfd_workload
 from repro.bench.experiments import (
     FIGURE2_TRANSPORTS,
     SCALABILITY_CORE_COUNTS,
-    figure2_configs,
-    figure12_configs,
-    figure13_configs,
-    figure14_configs,
-    figure16_configs,
+    figure2_spec,
+    figure12_spec,
+    figure13_spec,
+    figure14_spec,
     figure16_spec,
-    run_all,
 )
 from repro.cluster.presets import laptop, stampede2
 from repro.sweep import (
@@ -30,6 +28,7 @@ from repro.sweep import (
     derive_case_seed,
     run_cases,
 )
+from repro.sweep.runner import run_config
 from repro.workflow import WorkflowConfig
 
 
@@ -117,17 +116,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="duplicate"):
             spec.cases()
 
-    def test_configs_returns_label_config_pairs(self):
-        spec = SweepSpec("one", cases=[("only", small_config())])
-        [(label, config)] = spec.configs()
-        assert label == "only" and config.transport == "zipper"
-
 
 class TestLegacyGridParity:
     """The declarative grids must reproduce the hand-rolled loops label-for-label."""
 
     def test_figure2_labels(self):
-        labels = [lbl for lbl, _ in figure2_configs(steps=3)]
+        labels = [case.label for case in figure2_spec(steps=3).cases()]
         assert labels == list(FIGURE2_TRANSPORTS) + ["zipper", "none"]
 
     def test_figure12_labels_and_fields(self):
@@ -139,25 +133,26 @@ class TestLegacyGridParity:
             "O(nlogn)/8MB",
             "O(n^1.5)/8MB",
         ]
-        configs = figure12_configs(data_per_rank=16 * MiB)
-        assert [lbl for lbl, _ in configs] == expected
-        assert all(not cfg.preserve for _, cfg in configs)
-        assert [cfg.block_bytes for _, cfg in configs[:3]] == [1 * MiB] * 3
-        assert [cfg.block_bytes for _, cfg in configs[3:]] == [8 * MiB] * 3
+        cases = figure12_spec(data_per_rank=16 * MiB).cases()
+        assert [case.label for case in cases] == expected
+        assert all(not case.config.preserve for case in cases)
+        assert [case.config.block_bytes for case in cases[:3]] == [1 * MiB] * 3
+        assert [case.config.block_bytes for case in cases[3:]] == [8 * MiB] * 3
 
     def test_figure13_is_preserve_mode(self):
-        assert all(cfg.preserve for _, cfg in figure13_configs(data_per_rank=16 * MiB))
+        cases = figure13_spec(data_per_rank=16 * MiB).cases()
+        assert all(case.config.preserve for case in cases)
 
     def test_figure14_labels_pair_modes(self):
-        configs = figure14_configs(data_per_rank=16 * MiB, core_counts=(84, 168))
+        cases = figure14_spec(data_per_rank=16 * MiB, core_counts=(84, 168)).cases()
         expected = [
             f"{complexity}/{cores}/{mode}"
             for complexity in ("O(n)", "O(nlogn)", "O(n^1.5)")
             for cores in (84, 168)
             for mode in ("mpi-only", "concurrent")
         ]
-        assert [lbl for lbl, _ in configs] == expected
-        by_label = dict(configs)
+        assert [case.label for case in cases] == expected
+        by_label = {case.label: case.config for case in cases}
         assert by_label["O(n)/84/concurrent"].concurrent_transfer
         assert not by_label["O(n)/84/mpi-only"].concurrent_transfer
 
@@ -167,7 +162,7 @@ class TestLegacyGridParity:
             for cores in SCALABILITY_CORE_COUNTS
             for transport in ("mpiio", "flexpath", "decaf", "zipper", "none")
         ]
-        assert [lbl for lbl, _ in figure16_configs(steps=3)] == expected
+        assert [case.label for case in figure16_spec(steps=3).cases()] == expected
 
 
 class TestConfigHash:
@@ -215,13 +210,6 @@ class TestSweepRunner:
         assert serial["cfd/13056/decaf"].failed
         assert not serial["cfd/204/decaf"].failed
 
-    def test_matches_legacy_run_all(self):
-        spec = _downsized_figure16()
-        _assert_same_results(
-            SweepRunner(workers=0, trace=False).run_labelled(spec),
-            {lbl: r for lbl, r in run_all(spec.configs()).items()},
-        )
-
     def test_crash_is_isolated_to_its_record(self):
         # The unknown transport makes the workflow runner raise outright —
         # unlike a modelled TransportFault — which must not kill the sweep.
@@ -244,8 +232,8 @@ class TestSweepRunner:
 
     def test_figure_specs_disable_tracing(self):
         # Sweeps pickle results across the pool; traces would dominate that.
-        for _, config in _downsized_figure16().configs():
-            assert not config.trace
+        for case in _downsized_figure16().cases():
+            assert not case.config.trace
 
     def test_progress_callback_sees_every_case(self):
         seen = []
@@ -323,7 +311,7 @@ class TestResultStoreResume:
         """
         from repro.bench.experiments import fault_recovery_spec
 
-        cases = fault_recovery_spec(steps=6, checkpoint_intervals=(1, 4)).configs()[:3]
+        cases = fault_recovery_spec(steps=6, checkpoint_intervals=(1, 4)).cases()[:3]
         store_path = tmp_path / "faults.jsonl"
 
         first = SweepRunner(workers=0, store=ResultStore(store_path), trace=False).run(cases)
@@ -333,9 +321,9 @@ class TestResultStoreResume:
         store_path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:cut])
 
         second = SweepRunner(workers=0, store=ResultStore(store_path), trace=False).run(cases)
-        assert [r.label for r in second if not r.skipped] == [cases[-1][0]]
+        assert [r.label for r in second if not r.skipped] == [cases[-1].label]
         healed = ResultStore(store_path).get(
-            cases[-1][0], next(r for r in second if not r.skipped).config_hash
+            cases[-1].label, next(r for r in second if not r.skipped).config_hash
         )
         fresh = SweepRunner(workers=0, trace=False).run([cases[-1]])[0]
         from repro.sweep.store import result_payload
@@ -354,7 +342,7 @@ class TestResultStoreResume:
         """
         from repro.bench.experiments import tenant_contention_spec
 
-        cases = tenant_contention_spec(steps=3).configs()[:2]
+        cases = tenant_contention_spec(steps=3).cases()[:2]
         store_path = tmp_path / "tenants.jsonl"
 
         first = SweepRunner(workers=0, store=ResultStore(store_path), trace=False).run(cases)
@@ -364,9 +352,9 @@ class TestResultStoreResume:
         store_path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:cut])
 
         second = SweepRunner(workers=0, store=ResultStore(store_path), trace=False).run(cases)
-        assert [r.label for r in second if not r.skipped] == [cases[-1][0]]
+        assert [r.label for r in second if not r.skipped] == [cases[-1].label]
         healed = ResultStore(store_path).get(
-            cases[-1][0], next(r for r in second if not r.skipped).config_hash
+            cases[-1].label, next(r for r in second if not r.skipped).config_hash
         )
         fresh = SweepRunner(workers=0, trace=False).run([cases[-1]])[0]
         from repro.sweep.store import result_payload
@@ -477,25 +465,21 @@ class TestErrorClassification:
 
 
 def _hang_or_run(config):
-    """Stand-in workflow runner: hang on the sentinel config, else run."""
+    """Stand-in for ``run_config``: hang on the sentinel config, else run."""
     import threading
-
-    from repro.workflow.runner import run_workflow
 
     if config.total_cores == 17:  # the sentinel "hung scenario"
         threading.Event().wait(120)
-    return run_workflow(config)
+    return run_config(config)
 
 
 def _exit_or_run(config):
-    """Stand-in workflow runner: die without reporting on the sentinel."""
+    """Stand-in for ``run_config``: die without reporting on the sentinel."""
     import os
-
-    from repro.workflow.runner import run_workflow
 
     if config.total_cores == 17:
         os._exit(3)
-    return run_workflow(config)
+    return run_config(config)
 
 
 class TestCaseTimeout:
@@ -509,11 +493,7 @@ class TestCaseTimeout:
         import repro.sweep.runner as runner_module
 
         # Children are forked, so patching the parent's module reaches them.
-        monkeypatch.setattr(
-            runner_module,
-            "_execute_case",
-            _patched_execute(_hang_or_run),
-        )
+        monkeypatch.setattr(runner_module, "run_config", _hang_or_run)
         runner = SweepRunner(workers=2, trace=False, case_timeout_seconds=1.0)
         cases = [("hung", small_config(total_cores=17))] + [
             (f"good-{i}", small_config(seed=i + 1)) for i in range(3)
@@ -528,11 +508,7 @@ class TestCaseTimeout:
     def test_worker_death_is_recorded_as_lost(self, monkeypatch):
         import repro.sweep.runner as runner_module
 
-        monkeypatch.setattr(
-            runner_module,
-            "_execute_case",
-            _patched_execute(_exit_or_run),
-        )
+        monkeypatch.setattr(runner_module, "run_config", _exit_or_run)
         runner = SweepRunner(workers=0, trace=False, case_timeout_seconds=30.0)
         records = {
             r.label: r
@@ -557,29 +533,6 @@ class TestCaseTimeout:
         for label in plain:
             assert timed[label].ok
             assert timed[label].result.stats == plain[label].result.stats
-
-
-def _patched_execute(workflow_runner):
-    """An ``_execute_case`` substitute routing workflows through ``workflow_runner``."""
-    import time as time_module
-    import traceback as traceback_module
-
-    from repro.sweep.runner import SweepRecord, classify_error
-
-    def execute(payload):
-        index, label, digest, config = payload
-        record = SweepRecord(label=label, config_hash=digest, seed=config.seed)
-        start = time_module.perf_counter()
-        try:
-            record.result = workflow_runner(config)
-        except Exception as exc:  # noqa: BLE001 - mirrors the real executor
-            record.ok = False
-            record.error = traceback_module.format_exc(limit=8)
-            record.error_kind = classify_error(exc)
-        record.elapsed = time_module.perf_counter() - start
-        return index, record
-
-    return execute
 
 
 class TestPoolInterruptCleanup:
@@ -722,3 +675,20 @@ class TestCanonicalView:
         assert merged["a"]["v"] == 1  # the completed key was not overwritten
         assert not merged["b"]["ok"]  # failures worth retrying are carried over
         assert merged["c"]["v"] == 3
+
+
+class TestCli:
+    """``python -m repro.sweep``: the ``--profile`` path runs one case through ``run_config``."""
+
+    @pytest.mark.parametrize("figure", ["figure2", "pipelines", "tenants"])
+    def test_profile_runs_the_first_case(self, figure, capsys):
+        from repro.sweep.cli import _parser, build_spec, main
+
+        argv = [figure, "--steps", "2", "--sim-ranks", "2", "--profile"]
+        assert main(argv) == 0
+        [line] = [
+            line for line in capsys.readouterr().out.splitlines() if "events_processed=" in line
+        ]
+        printed = float(line.split("events_processed=")[1].split()[0])
+        first = build_spec(_parser().parse_args(argv)).cases()[0]
+        assert printed == run_config(first.config).stats["events_processed"]

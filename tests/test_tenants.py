@@ -80,6 +80,13 @@ class TestArrivalProcess:
             ArrivalProcess.bursty(count=1, rate=1.0, burst_size=0)
         with pytest.raises(ValueError):
             ArrivalProcess(kind="uniform")
+        # NaN fails every comparison, so each check must reject it.
+        with pytest.raises(ValueError):
+            ArrivalProcess.poisson(count=1, rate=float("nan"))
+        with pytest.raises(ValueError):
+            ArrivalProcess.poisson(count=1, rate=1.0, start=float("nan"))
+        with pytest.raises(ValueError):
+            ArrivalProcess.fixed(float("nan"))
 
 
 # -- jobs and facilities ------------------------------------------------------
@@ -100,6 +107,11 @@ class TestJobSpec:
             JobSpec("a/0", "a", pipeline, arrival=-1.0)
         with pytest.raises(ValueError):
             JobSpec("a/0", "a", pipeline, weight=0.0)
+        # NaN fails every comparison, so each check must reject it.
+        with pytest.raises(ValueError):
+            JobSpec("a/0", "a", pipeline, arrival=float("nan"))
+        with pytest.raises(ValueError):
+            JobSpec("a/0", "a", pipeline, weight=float("nan"))
 
     def test_job_queue_names_and_orders_by_arrival(self):
         jobs = job_queue(
@@ -144,6 +156,9 @@ class TestTenantSpec:
             TenantSpec(jobs=(job,), capacity_cores=64)
         with pytest.raises(ValueError):
             TenantSpec(jobs=(job,), epoch_seconds=0.0)
+        # NaN fails every comparison, so the check must reject it.
+        with pytest.raises(ValueError):
+            TenantSpec(jobs=(job,), epoch_seconds=float("nan"))
 
     def test_hashes_like_every_other_sweep_config(self):
         job = JobSpec("a/0", "a", small_pipeline())

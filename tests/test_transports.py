@@ -14,7 +14,7 @@ from repro.transports import (
     create_transport,
 )
 from repro.transports.registry import canonical_name
-from repro.workflow import WorkflowConfig, run_workflow
+from repro.workflow import WorkflowConfig, run_pipeline
 
 
 class TestRegistry:
@@ -95,7 +95,7 @@ def quick_results(request):
         "dataspaces",
         "adios+dataspaces",
     )
-    return {t: run_workflow(base.replace(transport=t)) for t in transports}
+    return {t: run_pipeline(base.replace(transport=t).to_pipeline()) for t in transports}
 
 
 class TestTransportBehaviour:
@@ -168,16 +168,16 @@ class TestDecafIntegerOverflow:
         )
 
     def test_cfd_overflows_at_large_scale(self):
-        result = run_workflow(self._config(cfd_workload(steps=3), 6528))
+        result = run_pipeline(self._config(cfd_workload(steps=3), 6528).to_pipeline())
         assert result.failed
         assert "overflow" in result.failure_reason
 
     def test_cfd_fine_at_moderate_scale(self):
-        result = run_workflow(self._config(cfd_workload(steps=3), 3264))
+        result = run_pipeline(self._config(cfd_workload(steps=3), 3264).to_pipeline())
         assert not result.failed
 
     def test_lammps_never_overflows(self):
-        result = run_workflow(self._config(lammps_workload(steps=3), 13056))
+        result = run_pipeline(self._config(lammps_workload(steps=3), 13056).to_pipeline())
         assert not result.failed
 
     def test_fault_is_a_transport_fault(self):

@@ -7,12 +7,17 @@ import pytest
 from repro.apps.costs import MiB, cfd_workload, synthetic_workload
 from repro.core import PerformanceModel, StageTimes
 from repro.workflow import (
+    PipelineRunner,
     WorkflowConfig,
-    WorkflowRunner,
-    run_workflow,
-    simulation_only_time,
+    pipeline_simulation_only_time,
+    run_pipeline,
 )
 from repro.workflow.result import StageBreakdown
+
+
+def coupling_context(config):
+    """The single coupling's context of a two-application config's pipeline."""
+    return PipelineRunner(config.to_pipeline()).ctx.couplings[0]
 
 
 class TestWorkflowConfig:
@@ -69,8 +74,7 @@ class TestWorkflowConfig:
 
 class TestWorkflowContext:
     def test_placement_and_mapping(self, small_cfd_config):
-        runner = WorkflowRunner(small_cfd_config)
-        ctx = runner.ctx
+        ctx = coupling_context(small_cfd_config)
         assert ctx.sim_ranks == 8 and ctx.analysis_ranks == 4
         # Sim and analysis ranks live on disjoint nodes.
         sim_nodes = {ctx.sim_node(r) for r in range(ctx.sim_ranks)}
@@ -83,43 +87,43 @@ class TestWorkflowContext:
             assert rank in ctx.producers_of(ctx.consumer_of(rank))
 
     def test_blocks_per_step(self, small_cfd_config):
-        ctx = WorkflowRunner(small_cfd_config).ctx
+        ctx = coupling_context(small_cfd_config)
         assert ctx.blocks_per_step() == 16  # 16 MiB / 1 MiB
         assert ctx.consumer_step_bytes(0) == 2 * 16 * MiB
 
     def test_staging_nodes_allocated_when_needed(self, small_cfd_config):
-        ctx = WorkflowRunner(small_cfd_config.replace(transport="dataspaces")).ctx
+        ctx = coupling_context(small_cfd_config.replace(transport="dataspaces"))
         assert ctx.staging_ranks >= 1
         assert ctx.staging_node(0) >= ctx.sim_nodes + ctx.analysis_nodes
 
     def test_rank_scale_factor(self, small_cfd_config):
-        ctx = WorkflowRunner(small_cfd_config).ctx
+        ctx = coupling_context(small_cfd_config)
         assert ctx.rank_scale_factor == pytest.approx(256 / 8)
 
 
 class TestRunnerResults:
     def test_simulation_only_lower_bound(self, small_cfd_config):
-        result = run_workflow(small_cfd_config.replace(transport="none"))
-        expected = simulation_only_time(small_cfd_config)
+        result = run_pipeline(small_cfd_config.replace(transport="none").to_pipeline())
+        expected = pipeline_simulation_only_time(small_cfd_config.to_pipeline())
         assert result.end_to_end_time == pytest.approx(expected, rel=0.05)
         assert result.breakdown.simulation == pytest.approx(expected, rel=0.05)
 
     def test_zipper_run_is_reproducible(self, small_cfd_config):
-        a = run_workflow(small_cfd_config)
-        b = run_workflow(small_cfd_config)
+        a = run_pipeline(small_cfd_config.to_pipeline())
+        b = run_pipeline(small_cfd_config.to_pipeline())
         assert a.end_to_end_time == pytest.approx(b.end_to_end_time, rel=1e-12)
         assert a.stats["blocks_produced"] == b.stats["blocks_produced"]
 
     def test_trace_collection_toggle(self, small_cfd_config):
-        with_trace = run_workflow(small_cfd_config.replace(trace=True))
-        without = run_workflow(small_cfd_config.replace(trace=False))
+        with_trace = run_pipeline(small_cfd_config.replace(trace=True).to_pipeline())
+        without = run_pipeline(small_cfd_config.replace(trace=False).to_pipeline())
         assert with_trace.tracer is not None and len(with_trace.tracer) > 0
         assert without.tracer is None
         assert "step" in with_trace.tracer.categories()
 
     def test_zipper_matches_analytical_model(self, small_synthetic_config):
         """The measured end-to-end time stays close to max(Tcomp, Ttransfer, Tanalysis)."""
-        result = run_workflow(small_synthetic_config)
+        result = run_pipeline(small_synthetic_config.to_pipeline())
         largest_stage = max(
             result.breakdown.simulation + result.breakdown.stall,
             result.breakdown.transfer,
@@ -129,8 +133,8 @@ class TestRunnerResults:
         assert result.end_to_end_time >= largest_stage * 0.8
 
     def test_preserve_mode_persists_and_slows(self, small_synthetic_config):
-        no_preserve = run_workflow(small_synthetic_config)
-        preserve = run_workflow(small_synthetic_config.replace(preserve=True))
+        no_preserve = run_pipeline(small_synthetic_config.to_pipeline())
+        preserve = run_pipeline(small_synthetic_config.replace(preserve=True).to_pipeline())
         assert preserve.stats.get("blocks_preserved", 0) + preserve.stats.get(
             "blocks_stolen", 0
         ) >= preserve.stats.get("blocks_produced")
@@ -140,8 +144,10 @@ class TestRunnerResults:
     def test_concurrent_transfer_reduces_stall_for_transfer_bound_workload(
         self, small_synthetic_config
     ):
-        concurrent = run_workflow(small_synthetic_config)
-        mpi_only = run_workflow(small_synthetic_config.replace(concurrent_transfer=False))
+        concurrent = run_pipeline(small_synthetic_config.to_pipeline())
+        mpi_only = run_pipeline(
+            small_synthetic_config.replace(concurrent_transfer=False).to_pipeline()
+        )
         assert concurrent.steal_fraction > 0
         assert mpi_only.steal_fraction == 0
         assert (
@@ -154,7 +160,7 @@ class TestRunnerResults:
         workload = synthetic_workload("O(n)", 1 * MiB, data_per_rank=32 * MiB)
 
         def run_at(cores):
-            return run_workflow(
+            return run_pipeline(
                 WorkflowConfig(
                     workload=workload,
                     cluster=bridges_spec,
@@ -162,7 +168,7 @@ class TestRunnerResults:
                     total_cores=cores,
                     representative_sim_ranks=4,
                     representative_analysis_ranks=2,
-                )
+                ).to_pipeline()
             )
 
         small, large = run_at(84), run_at(2352)
@@ -174,8 +180,8 @@ class TestRunnerResults:
         assert breakdown.as_dict()["stall"] == 0.1
 
     def test_speedup_and_summary(self, small_cfd_config):
-        zipper = run_workflow(small_cfd_config)
-        decaf = run_workflow(small_cfd_config.replace(transport="decaf"))
+        zipper = run_pipeline(small_cfd_config.to_pipeline())
+        decaf = run_pipeline(small_cfd_config.replace(transport="decaf").to_pipeline())
         assert zipper.speedup_over(decaf) > 1.0
         assert "zipper" in zipper.summary()
 
