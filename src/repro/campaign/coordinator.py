@@ -69,6 +69,9 @@ class Campaign:
         backoff: Optional[BackoffPolicy] = None,
         case_timeout_seconds: Optional[float] = None,
     ):
+        # NaN too: workers would run under a deadline that never passes.
+        if case_timeout_seconds is not None and not case_timeout_seconds > 0:
+            raise ValueError("case_timeout_seconds must be positive")
         self.descriptor = dict(descriptor)
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.case_timeout_seconds = case_timeout_seconds
@@ -340,6 +343,8 @@ class CoordinatorServer:
         The server keeps answering ``/status`` during and after the wait;
         call :meth:`stop` when done with it.
         """
+        if timeout is not None and not timeout >= 0:  # NaN would never expire
+            raise ValueError("timeout must be non-negative")
         self.start()
         pacer = threading.Event()
         deadline = time.monotonic() + timeout if timeout is not None else None

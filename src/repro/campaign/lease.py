@@ -29,16 +29,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.simcore.rng import stable_hash
+
 __all__ = ["BackoffPolicy", "CaseEntry", "Lease", "WorkBoard"]
-
-
-def _stable_hash(text: str) -> int:
-    """64-bit FNV-1a digest of ``text``, stable across processes and hosts."""
-    h = 1469598103934665603
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,7 @@ class BackoffPolicy:
         raw = min(self.cap_seconds, self.base_seconds * self.multiplier**power)
         if self.jitter <= 0:
             return raw
-        frac = (_stable_hash(f"{self.seed}:{label}:{attempt}") % 1_000_000) / 1_000_000.0
+        frac = (stable_hash(f"{self.seed}:{label}:{attempt}") % 1_000_000) / 1_000_000.0
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * frac)
 
     def schedule(self, label: str, attempts: int) -> List[float]:
@@ -152,7 +145,7 @@ class WorkBoard:
     ):
         if shard_size < 1:
             raise ValueError("shard_size must be at least 1")
-        if lease_seconds <= 0:
+        if not lease_seconds > 0:  # NaN too: a NaN deadline never expires
             raise ValueError("lease_seconds must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")

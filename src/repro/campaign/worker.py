@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.campaign.protocol import CoordinatorClient, CoordinatorUnreachable, campaign_cases
 from repro.sweep.runner import SweepRecord, SweepRunner, classify_error
@@ -68,6 +68,8 @@ class CampaignWorker:
         request_timeout: float = 10.0,
         failure_hook: Optional[Callable[[str], None]] = None,
     ):
+        if not give_up_seconds >= 0:  # NaN would retry a dead coordinator forever
+            raise ValueError("give_up_seconds must be non-negative")
         self.client = CoordinatorClient(url, timeout=request_timeout)
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.throttle_seconds = float(throttle_seconds)

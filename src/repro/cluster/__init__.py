@@ -1,4 +1,4 @@
-"""HPC cluster substrate: nodes, network fabric, congestion counters, parallel file system.
+"""HPC cluster substrate: nodes, network fabric, parallel file system.
 
 This package models the two machines used in the paper's evaluation — Bridges
 (Intel Haswell + Omni-Path + Lustre) and Stampede2 (KNL + Omni-Path + Lustre) —
@@ -6,12 +6,13 @@ at the level of detail the paper's analysis actually exercises:
 
 * per-node NIC injection/ejection bandwidth and a two-level (leaf/core) switch
   fabric with FIFO link queueing, multi-path core links and a congestion
-  penalty, all instrumented with ``XmitWait``-style counters
-  (:mod:`repro.cluster.network`, :mod:`repro.cluster.counters`);
+  penalty, with an ``XmitWait`` counter on every injection port
+  (:mod:`repro.cluster.network`);
 * a striped parallel file system with a shared aggregate bandwidth pool,
   metadata-operation latency and optional background load
   (:mod:`repro.cluster.pfs`);
-* compute nodes with cores and memory (:mod:`repro.cluster.node`);
+* compute nodes with a pool of cores and a mutable compute rate
+  (:mod:`repro.cluster.node`);
 * machine presets (:mod:`repro.cluster.presets`).
 
 Because simulating 13,056 real ranks event-by-event is not feasible in pure
@@ -29,7 +30,6 @@ from repro.cluster.spec import (
     ClusterSpec,
     ScalingModel,
 )
-from repro.cluster.counters import PortCounters, CounterRegistry
 from repro.cluster.network import Network, TransferResult
 from repro.cluster.pfs import ParallelFileSystem, IOResult
 from repro.cluster.node import RATE_OWNERS, ComputeNode
@@ -42,8 +42,6 @@ __all__ = [
     "FileSystemSpec",
     "ClusterSpec",
     "ScalingModel",
-    "PortCounters",
-    "CounterRegistry",
     "Network",
     "TransferResult",
     "ParallelFileSystem",

@@ -1,11 +1,10 @@
-"""The :class:`Cluster` facade assembling nodes, network, file system and counters."""
+"""The :class:`Cluster` facade assembling nodes, network and file system."""
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
 from repro.simcore import Environment, RandomStreams
-from repro.cluster.counters import CounterRegistry
 from repro.cluster.network import Network
 from repro.cluster.node import ComputeNode
 from repro.cluster.pfs import ParallelFileSystem
@@ -74,13 +73,11 @@ class Cluster:
         self.rng = RandomStreams(seed if seed is not None else spec.seed)
         jitter_cv = 0.0 if deterministic else 0.05
 
-        self.counters = CounterRegistry()
         self.network = Network(
             self.env,
             spec.network,
             num_nodes=num_nodes,
             total_nodes=self.total_nodes,
-            counters=self.counters,
             rng=self.rng,
             jitter_cv=jitter_cv,
         )

@@ -1,12 +1,14 @@
-"""Interconnect fabric model with port queueing, congestion and counters.
+"""Interconnect fabric model with port queueing, congestion and ``XmitWait``.
 
 The model is intentionally lightweight — one simulation event per message —
 but captures the phenomena the paper's analysis rests on:
 
 * **Port serialisation.**  Each node has one NIC; messages leaving (entering)
-  a node queue FIFO behind earlier messages at that port.  Time spent queued
-  with data ready is accumulated into the ``XmitWait`` counter exactly as the
-  Omni-Path counter does.
+  a node queue FIFO behind earlier messages at that port.  Time a message
+  spends queued or backpressured with data ready is converted into FLIT times
+  at the line rate and accumulated into its injection port's ``XmitWait``
+  counter, as the Omni-Path counter does.  It is the one network counter the
+  paper uses to explain the concurrent-transfer speedup (Figure 15).
 * **Fabric taper and scale.**  Traffic between nodes on different leaf
   switches passes through a per-node share of core-fabric bandwidth.  The
   share shrinks (mildly) as the *full* job size grows, which is what makes
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 from repro.simcore import Environment, RandomStreams
-from repro.cluster.counters import CounterRegistry
 from repro.cluster.spec import NetworkSpec
 
 __all__ = ["Network", "TransferResult", "PortState"]
@@ -66,19 +67,19 @@ class TransferResult:
 
 
 class PortState:
-    """Mutable per-port bookkeeping: FIFO availability and weighted load."""
+    """Mutable per-port bookkeeping: FIFO availability, weighted load, ``XmitWait``."""
 
-    __slots__ = ("name", "bandwidth", "busy_until", "load", "counters_id", "counter")
+    __slots__ = ("name", "bandwidth", "busy_until", "load", "xmit_wait")
 
-    def __init__(self, name: str, bandwidth: float, counters_id: Optional[str] = None):
+    def __init__(self, name: str, bandwidth: float):
         self.name = name
         self.bandwidth = float(bandwidth)
         self.busy_until = 0.0
         self.load = 0.0  # weighted number of flows currently using the port
-        self.counters_id = counters_id
-        #: The port's counter record, bound once by the owning Network (the
-        #: registry lookup sits on the per-transfer hot path).
-        self.counter = None
+        #: FLIT-times spent with data queued but not transmitting; only
+        #: injection ports are charged.
+        self.xmit_wait = 0
+
 
 class Network:
     """The fabric connecting the modelled compute nodes.
@@ -95,8 +96,6 @@ class Network:
     total_nodes:
         Number of nodes in the full job being represented; drives the
         scale-dependent core-fabric share.  Defaults to ``num_nodes``.
-    counters:
-        Registry receiving per-port traffic and ``XmitWait`` counts.
     rng:
         Random streams (used only when ``jitter_cv`` > 0).
     """
@@ -107,7 +106,6 @@ class Network:
         spec: NetworkSpec,
         num_nodes: int,
         total_nodes: Optional[int] = None,
-        counters: Optional[CounterRegistry] = None,
         rng: Optional[RandomStreams] = None,
         intra_node_bandwidth: float = DEFAULT_INTRA_NODE_BANDWIDTH,
         scale_penalty: float = 0.12,
@@ -121,7 +119,6 @@ class Network:
         self.total_nodes = int(total_nodes) if total_nodes else num_nodes
         if self.total_nodes < num_nodes:
             raise ValueError("total_nodes cannot be smaller than num_nodes")
-        self.counters = counters if counters is not None else CounterRegistry()
         self.rng = rng if rng is not None else RandomStreams(0)
         self.intra_node_bandwidth = float(intra_node_bandwidth)
         self.scale_penalty = float(scale_penalty)
@@ -148,21 +145,12 @@ class Network:
         self._core: Dict[int, PortState] = {}
         core_share = self._core_share
         for node in range(num_nodes):
-            self._inject[node] = PortState(
-                f"node{node}.tx", spec.link_bandwidth, counters_id=f"node{node}"
-            )
-            self._eject[node] = PortState(
-                f"node{node}.rx", spec.link_bandwidth, counters_id=f"node{node}"
-            )
+            self._inject[node] = PortState(f"node{node}.tx", spec.link_bandwidth)
+            self._eject[node] = PortState(f"node{node}.rx", spec.link_bandwidth)
             self._core[node] = PortState(f"node{node}.core", core_share)
-            self._inject[node].counter = self.counters.port(f"node{node}")
-            self._eject[node].counter = self.counters.port(f"node{node}")
         #: Leaf switch of each modelled node (static — see node_leaf), cached
         #: off the per-transfer hot path.
         self._leaf = [self.node_leaf(node) for node in range(num_nodes)]
-
-        self.bytes_moved = 0
-        self.messages_sent = 0
 
     # -- derived quantities ------------------------------------------------
     def congestion_scale(self) -> float:
@@ -229,8 +217,6 @@ class Network:
         env = self.env
         spec = self.spec
         start = env.now
-        self.messages_sent += 1
-        self.bytes_moved += int(nbytes)
 
         if nbytes == 0:
             # Pure synchronisation message: latency only.
@@ -307,18 +293,9 @@ class Network:
             stage.busy_until = finish
             stage.load += congestion_weight
 
-        # Counters for the source and destination NIC ports (inlined
-        # PortCounters.record_send/record_receive/record_wait — one message
-        # each, values already validated above).
-        tx_counter = tx.counter
-        rx_counter = rx.counter
-        tx_counter.xmit_data += int(nbytes)
-        tx_counter.xmit_pkts += 1
-        rx_counter.rcv_data += int(nbytes)
-        rx_counter.rcv_pkts += 1
         wait = queued + stalled
         if wait > 0:
-            tx_counter.xmit_wait += int(round(wait * self._flits_per_second))
+            tx.xmit_wait += int(round(wait * self._flits_per_second))
 
         try:
             yield env.sleep(duration)
@@ -364,8 +341,8 @@ class Network:
         return self._inject[node].load
 
     def xmit_wait_total(self) -> int:
-        """Sum of ``XmitWait`` over every modelled port."""
-        return self.counters.total("XmitWait")
+        """Sum of ``XmitWait`` over every modelled injection port."""
+        return sum(port.xmit_wait for port in self._inject.values())
 
     # -- helpers ----------------------------------------------------------
     def _check_node(self, node: int) -> None:

@@ -1,15 +1,12 @@
-"""Compute-node model: cores and memory of one node."""
+"""Compute-node model: the cores of one node and their compute rate."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Union
+from typing import Dict, Generator, List, Optional, Sequence, Union
 
 from repro import sanitize
-from repro.simcore import Container, Environment, RandomStreams, Resource, Timeout
+from repro.simcore import Environment, RandomStreams, Resource, Timeout
 from repro.cluster.spec import NodeSpec
-
-if TYPE_CHECKING:
-    from repro.simcore.resources import ContainerGet, ContainerPut
 
 __all__ = ["ComputeNode", "RATE_OWNERS", "RateFactors"]
 
@@ -71,7 +68,7 @@ _FAST_HOLDER = _FastHolder()
 
 
 class ComputeNode:
-    """One compute node: a pool of cores and a memory capacity.
+    """One compute node: a pool of cores.
 
     Application cost models express work in *seconds on one reference core*;
     :meth:`compute` converts that into simulated time on this node's cores
@@ -100,8 +97,6 @@ class ComputeNode:
         self.rng = rng if rng is not None else RandomStreams(node_id)
         self.jitter_cv = float(jitter_cv)
         self.cores = Resource(env, capacity=spec.cores)
-        self.memory = Container(env, capacity=float(spec.memory_bytes), init=0.0)
-        self.busy_core_seconds = 0.0
         self._factors = RateFactors()
         # Cached effective rate (reference seconds per simulated second);
         # invalidated only by set_rate_factor.
@@ -218,7 +213,6 @@ class ComputeNode:
             try:
                 if duration > 0:
                     yield self.env.sleep(duration)
-                self.busy_core_seconds += duration
             finally:
                 cores.users.remove(holder)
                 # The synchronous half of Resource.release: grant any waiter
@@ -233,7 +227,6 @@ class ComputeNode:
         try:
             if duration > 0:
                 yield Timeout(self.env, duration)
-            self.busy_core_seconds += duration
         finally:
             cores.release(req)
         return duration
@@ -250,10 +243,9 @@ class ComputeNode:
         workload phase).  The batch is exactly equivalent to calling
         :meth:`compute` for every chunk of every repetition, but when the
         node :attr:`can_batch` it advances the clock with a single absolute
-        timeout and credits the elided events; the end time, the busy-seconds
-        accumulator and the returned per-repetition elapsed times are folded
-        with the same float operations the per-call path performs, so results
-        are bit-identical.
+        timeout and credits the elided events; the end time and the returned
+        per-repetition elapsed times are folded with the same float operations
+        the per-call path performs, so results are bit-identical.
 
         The folded rate is the one in force when the batch starts, so a
         caller may batch only while nothing can re-rate the node (see
@@ -295,7 +287,6 @@ class ComputeNode:
             return None
         rate = self._rate
         end = env.now
-        busy = self.busy_core_seconds
         credit = 0
         any_timeout = False
         elapsed: List[float] = []
@@ -306,7 +297,6 @@ class ComputeNode:
                 prev = end
                 end = prev + duration
                 rep += end - prev
-                busy += duration
                 if duration > 0:
                     credit += 3
                     any_timeout = True
@@ -329,25 +319,8 @@ class ComputeNode:
         # An all-zero segment consumes no event in the per-call path
         # (compute() returns without yielding), so none is consumed here
         # either — the process continues synchronously.
-        self.busy_core_seconds = busy
         env.credit_events(credit)
         return elapsed
-
-    def allocate_memory(self, nbytes: float) -> "ContainerPut":
-        """Reserve ``nbytes`` of node memory (blocks while unavailable)."""
-        return self.memory.put(nbytes)
-
-    def free_memory(self, nbytes: float) -> "ContainerGet":
-        """Release ``nbytes`` of node memory."""
-        return self.memory.get(nbytes)
-
-    @property
-    def memory_in_use(self) -> float:
-        return self.memory.level
-
-    @property
-    def memory_free(self) -> float:
-        return self.memory.capacity - self.memory.level
 
     def __repr__(self) -> str:
         return (

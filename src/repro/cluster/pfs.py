@@ -13,7 +13,7 @@ dual-path optimisation still helps on machines without a separate I/O network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from repro.simcore import Environment, RandomStreams
 from repro.cluster.network import Network
@@ -60,10 +60,6 @@ class ParallelFileSystem:
 
         #: weighted number of in-flight requests sharing the aggregate bandwidth
         self._active = 0.0
-        self.bytes_written = 0
-        self.bytes_read = 0
-        #: per-"file" record of how many bytes exist, keyed by file name
-        self._files: Dict[str, int] = {}
 
     # -- capacity ---------------------------------------------------------
     @property
@@ -75,47 +71,24 @@ class ParallelFileSystem:
         """Rate a new request would see given the current in-flight load."""
         return self.aggregate_bandwidth / max(1.0, self._active + 1.0)
 
-    @property
-    def active_requests(self) -> float:
-        return self._active
-
     # -- data path --------------------------------------------------------
-    def write(
-        self,
-        node: int,
-        nbytes: int,
-        filename: Optional[str] = None,
-        rate_scale: float = 1.0,
-    ) -> Generator:
+    def write(self, node: int, nbytes: int, rate_scale: float = 1.0) -> Generator:
         """Write ``nbytes`` from ``node``.  Simulation process returning :class:`IOResult`.
 
         ``rate_scale`` scales this one request's achieved rate — the
         bandwidth-lease hook lets a coupling that borrowed file-path
         bandwidth drain faster (> 1) and the lender drain slower (< 1).
         """
-        return self._io(node, nbytes, "write", filename, rate_scale)
+        return self._io(node, nbytes, "write", rate_scale)
 
-    def read(
-        self,
-        node: int,
-        nbytes: int,
-        filename: Optional[str] = None,
-        rate_scale: float = 1.0,
-    ) -> Generator:
+    def read(self, node: int, nbytes: int, rate_scale: float = 1.0) -> Generator:
         """Read ``nbytes`` into ``node``.  Simulation process returning :class:`IOResult`.
 
         See :meth:`write` for the meaning of ``rate_scale``.
         """
-        return self._io(node, nbytes, "read", filename, rate_scale)
+        return self._io(node, nbytes, "read", rate_scale)
 
-    def _io(
-        self,
-        node: int,
-        nbytes: int,
-        op: str,
-        filename: Optional[str],
-        rate_scale: float = 1.0,
-    ) -> Generator:
+    def _io(self, node: int, nbytes: int, op: str, rate_scale: float) -> Generator:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if rate_scale <= 0:
@@ -160,23 +133,4 @@ class ParallelFileSystem:
                 if fabric_loaded:
                     self.network.remove_background_load(node, self.spec.fabric_weight)
 
-        if op == "write":
-            self.bytes_written += int(nbytes)
-            if filename is not None:
-                self._files[filename] = self._files.get(filename, 0) + int(nbytes)
-        else:
-            self.bytes_read += int(nbytes)
-
         return IOResult(node, nbytes, op, start, env.now)
-
-    # -- namespace --------------------------------------------------------
-    def file_size(self, filename: str) -> int:
-        """Bytes written so far under ``filename`` (0 if never written)."""
-        return self._files.get(filename, 0)
-
-    def exists(self, filename: str) -> bool:
-        return filename in self._files
-
-    def files(self) -> Dict[str, int]:
-        """Snapshot of the namespace: filename -> size in bytes."""
-        return dict(self._files)

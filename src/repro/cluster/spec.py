@@ -26,6 +26,7 @@ class NodeSpec:
     """Static description of one compute node."""
 
     cores: int = 28
+    #: Descriptive only: no model reads it, but ``config_hash`` covers it.
     memory_bytes: int = 128 * GiB
     #: Relative per-core compute speed used to scale application cost models
     #: (1.0 = one Bridges Haswell core; KNL cores are individually slower).

@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "stable_hash"]
 
 
 class RandomStreams:
@@ -35,7 +35,7 @@ class RandomStreams:
         stable across runs and across the order in which they are requested.
         """
         if name not in self._streams:
-            ss = np.random.SeedSequence([self._seed, _stable_hash(name)])
+            ss = np.random.SeedSequence([self._seed, stable_hash(name)])
             self._streams[name] = np.random.default_rng(ss)
         return self._streams[name]
 
@@ -63,10 +63,17 @@ class RandomStreams:
         return len(self._streams)
 
 
-def _stable_hash(name: str) -> int:
-    """A process-invariant 64-bit hash of ``name`` (Python's ``hash`` is salted)."""
-    h = 1469598103934665603  # FNV-1a offset basis
-    for byte in name.encode("utf-8"):
+def stable_hash(text: str) -> int:
+    """64-bit FNV-1a digest of ``text``, stable across processes and hosts.
+
+    Python's ``hash`` of a string is salted per process; this one is not, so
+    stream seeds, sweep case seeds and retry jitter derived from it repeat
+    exactly on every run.  The offset basis is one digit short of the
+    published 14695981039346656037; it stays, because stored case seeds and
+    every seeded stream derive from it.
+    """
+    h = 1469598103934665603  # offset basis
+    for byte in text.encode("utf-8"):
         h ^= byte
         h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
     return h

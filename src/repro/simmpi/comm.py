@@ -8,7 +8,6 @@ from typing import Any, Generator, List, Optional, Sequence
 from repro.cluster.machine import Cluster
 from repro.simcore import AllOf, FilterStore, SimBarrier, Timeout
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
-from repro.simmpi.request import SimRequest
 from repro.trace import Tracer
 
 __all__ = ["Communicator"]
@@ -28,7 +27,7 @@ class Communicator:
         (defaults to ``len(rank_nodes)``); collective costs scale with this.
     tracer:
         Optional :class:`~repro.trace.Tracer` receiving spans for the MPI calls
-        (categories ``sendrecv``, ``barrier``, ``waitall``, ``allreduce``).
+        (categories ``sendrecv`` and ``barrier``).
     name:
         Label used in traces and debugging output.
     """
@@ -114,27 +113,6 @@ class Communicator:
         msg = yield self._mailboxes[rank].get(lambda m: m.matches(source, tag))
         return msg
 
-    def isend(
-        self,
-        source: int,
-        dest: int,
-        nbytes: int,
-        tag: int = 0,
-        payload: Any = None,
-        flow: str = "msg",
-        congestion_weight: float = 1.0,
-    ) -> SimRequest:
-        """Non-blocking send; returns a :class:`SimRequest`."""
-        proc = self.env.process(
-            self.send(source, dest, nbytes, tag, payload, flow, congestion_weight)
-        )
-        return SimRequest(proc, "isend", source, dest, nbytes)
-
-    def irecv(self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> SimRequest:
-        """Non-blocking receive; returns a :class:`SimRequest`."""
-        proc = self.env.process(self.recv(rank, source, tag))
-        return SimRequest(proc, "irecv", rank, source, 0)
-
     def sendrecv(
         self,
         rank: int,
@@ -146,26 +124,19 @@ class Communicator:
     ) -> Generator:
         """``MPI_Sendrecv``: exchange with neighbours, as the LBM streaming phase does.
 
-        The traced duration of this call is what the paper's Figures 5 and 6
+        The send and the receive run as two concurrent processes; the call
+        returns the received :class:`Message` once both have completed.  The
+        traced duration of this call is what the paper's Figures 5 and 6
         show growing once a staging library competes for the same NIC.
         """
-        start = self.env.now
-        send_req = self.isend(rank, dest, send_bytes, tag=send_tag)
-        recv_req = self.irecv(rank, source, tag=recv_tag)
-        yield AllOf(self.env, [send_req.event, recv_req.event])
+        env = self.env
+        start = env.now
+        send = env.process(self.send(rank, dest, send_bytes, tag=send_tag))
+        recv = env.process(self.recv(rank, source, tag=recv_tag))
+        yield AllOf(env, [send, recv])
         if self.tracer is not None:
-            self.tracer.record(rank, "sendrecv", start, self.env.now, dest=dest, source=source)
-        return recv_req.value
-
-    def waitall(self, rank: int, requests: Sequence[SimRequest]) -> Generator:
-        """``MPI_Waitall`` over a list of requests (traced per rank)."""
-        start = self.env.now
-        events = [r.event for r in requests]
-        if events:
-            yield AllOf(self.env, events)
-        if self.tracer is not None:
-            self.tracer.record(rank, "waitall", start, self.env.now, count=len(requests))
-        return [r.value for r in requests]
+            self.tracer.record(rank, "sendrecv", start, env.now, dest=dest, source=source)
+        return recv.value
 
     # -- collectives ---------------------------------------------------------
     def barrier(self, rank: int) -> Generator:
@@ -176,36 +147,6 @@ class Communicator:
         yield Timeout(self.env, self._collective_latency())
         if self.tracer is not None:
             self.tracer.record(rank, "barrier", start, self.env.now)
-
-    def allreduce(self, rank: int, nbytes: int = 8) -> Generator:
-        """Allreduce of ``nbytes`` per rank (recursive-doubling cost model)."""
-        self._check_rank(rank)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        start = self.env.now
-        yield self._barrier.wait()
-        spec = self.network.spec
-        depth = max(1.0, math.log2(max(2, self.represented_size)))
-        per_stage = spec.latency + spec.per_message_overhead + nbytes / spec.link_bandwidth
-        yield Timeout(self.env, 2.0 * depth * per_stage)
-        if self.tracer is not None:
-            self.tracer.record(rank, "allreduce", start, self.env.now, nbytes=nbytes)
-
-    def gather(self, rank: int, nbytes: int, root: int = 0) -> Generator:
-        """Gather ``nbytes`` from every rank to ``root`` (tree cost model)."""
-        self._check_rank(rank)
-        self._check_rank(root)
-        start = self.env.now
-        yield self._barrier.wait()
-        spec = self.network.spec
-        depth = max(1.0, math.log2(max(2, self.represented_size)))
-        total_bytes = nbytes * self.represented_size
-        # The root's ejection bandwidth bounds the gather.
-        duration = depth * (spec.latency + spec.per_message_overhead)
-        duration += total_bytes / spec.link_bandwidth
-        yield Timeout(self.env, duration)
-        if self.tracer is not None:
-            self.tracer.record(rank, "gather", start, self.env.now, nbytes=nbytes)
 
     def __repr__(self) -> str:
         return (

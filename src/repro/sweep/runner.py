@@ -31,6 +31,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.simcore.rng import stable_hash
 from repro.sweep.spec import AnyConfig, SweepCase, SweepSpec
 from repro.sweep.store import ResultStore, result_payload
 from repro.tenants.spec import TenantSpec
@@ -56,11 +57,7 @@ ProgressCallback = Callable[["SweepRecord", int, int], None]
 
 def derive_case_seed(base_seed: int, label: str) -> int:
     """Per-case seed, stable across runs and independent of execution order."""
-    h = 1469598103934665603  # FNV-1a offset basis
-    for byte in label.encode("utf-8"):
-        h ^= byte
-        h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return (int(base_seed) ^ h) % (2**31 - 1) + 1
+    return (int(base_seed) ^ stable_hash(label)) % (2**31 - 1) + 1
 
 
 #: Exception families worth retrying: the environment (not the scenario)
@@ -228,7 +225,8 @@ class SweepRunner:
             workers = multiprocessing.cpu_count()
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if case_timeout_seconds is not None and case_timeout_seconds <= 0:
+        # NaN too: a NaN deadline never passes.
+        if case_timeout_seconds is not None and not case_timeout_seconds > 0:
             raise ValueError("case_timeout_seconds must be positive")
         self.case_timeout_seconds = case_timeout_seconds
         self.workers = int(workers)

@@ -49,11 +49,12 @@ class DecafTransport(Transport):
         element_bytes: int | None = None,
         serialization_seconds_per_byte: float = 1.2e-8,
     ):
-        if link_buffer_steps <= 0:
+        # ``not x > 0`` rather than ``x <= 0``, so that NaN fails too.
+        if not link_buffer_steps > 0:
             raise ValueError("link_buffer_steps must be positive")
-        if element_bytes is not None and element_bytes <= 0:
+        if element_bytes is not None and not element_bytes > 0:
             raise ValueError("element_bytes must be positive")
-        if serialization_seconds_per_byte < 0:
+        if not serialization_seconds_per_byte >= 0:
             raise ValueError("serialization_seconds_per_byte must be non-negative")
         #: How many outstanding steps a link rank may buffer per producer.
         self.link_buffer_steps = link_buffer_steps

@@ -40,12 +40,15 @@ class FlexpathTransport(Transport):
         epoch_overhead: float = 1.0e-3,
         fetch_request_bytes: int = 512,
     ):
-        if socket_node_bandwidth <= 0:
+        # ``not x > 0`` rather than ``x <= 0``, so that NaN fails too.
+        if not socket_node_bandwidth > 0:
             raise ValueError("socket_node_bandwidth must be positive")
-        if socket_contention < 0:
+        if not socket_contention >= 0:
             raise ValueError("socket_contention must be non-negative")
-        if epoch_overhead < 0:
+        if not epoch_overhead >= 0:
             raise ValueError("epoch_overhead must be non-negative")
+        if not fetch_request_bytes >= 0:
+            raise ValueError("fetch_request_bytes must be non-negative")
         #: Aggregate socket throughput of one node with a single active rank.
         self.socket_node_bandwidth = socket_node_bandwidth
         #: How quickly the per-node socket path degrades as more ranks share it.

@@ -36,7 +36,7 @@ class MPIIOTransport(Transport):
     ):
         if not 0 < shared_file_penalty <= 1:
             raise ValueError("shared_file_penalty must lie in (0, 1]")
-        if poll_interval <= 0:
+        if not poll_interval > 0:
             raise ValueError("poll_interval must be positive")
         #: Fraction of the file system's nominal rate an N-to-1 shared file
         #: achieves (extent-lock contention on the OSTs).
@@ -63,12 +63,7 @@ class MPIIOTransport(Transport):
         # file system has to serve for this logical write.
         effective_bytes = int(nbytes / self.shared_file_penalty)
         io_start = env.now
-        yield from fs.write(
-            node,
-            effective_bytes,
-            filename="mpiio_shared",
-            rate_scale=ctx.bandwidth_share,
-        )
+        yield from fs.write(node, effective_bytes, rate_scale=ctx.bandwidth_share)
         ctx.sim_rank_stats[rank]["io_write_time"] += env.now - io_start
         ctx.stats["bytes_file"] += nbytes
         ctx.record_sim(rank, "io_write", io_start, step=step)
@@ -97,12 +92,7 @@ class MPIIOTransport(Transport):
             if self.collective_sync:
                 yield from ctx.analysis_comm.barrier(arank)
             read_start = env.now
-            yield from fs.read(
-                node,
-                effective_bytes,
-                filename="mpiio_shared",
-                rate_scale=ctx.bandwidth_share,
-            )
+            yield from fs.read(node, effective_bytes, rate_scale=ctx.bandwidth_share)
             ctx.analysis_rank_stats[arank]["io_read_time"] += env.now - read_start
             ctx.record_analysis(arank, "io_read", read_start, step=step)
             yield from analyze(step_bytes, step)

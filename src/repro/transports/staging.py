@@ -26,8 +26,11 @@ class StagingLockService:
     """Lock/metadata service hosted on the staging ranks."""
 
     def __init__(self, per_request_service: float = 2.0e-5, request_bytes: int = 256):
-        if per_request_service < 0:
+        # ``not x >= 0`` rather than ``x < 0``, so that NaN fails too.
+        if not per_request_service >= 0:
             raise ValueError("per_request_service must be non-negative")
+        if not request_bytes >= 0:
+            raise ValueError("request_bytes must be non-negative")
         self.per_request_service = per_request_service
         self.request_bytes = request_bytes
 

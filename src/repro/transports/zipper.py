@@ -71,12 +71,10 @@ class ZipperTransport(Transport):
         self,
         concurrent_transfer: Optional[bool] = None,
         preserve: Optional[bool] = None,
-        counter_queries: int = 10,
     ):
         #: ``None`` means "take the value from the coupling context".
         self._concurrent_override = concurrent_transfer
         self._preserve_override = preserve
-        self.counter_queries = counter_queries
         self._producers: Dict[int, _ProducerState] = {}
         self._consumers: Dict[int, _ConsumerState] = {}
         self._expected_blocks: Dict[int, int] = {}
@@ -113,11 +111,6 @@ class ZipperTransport(Transport):
             self._expected_blocks[arank] = (
                 len(ctx.producers_of(arank)) * ctx.steps * ctx.blocks_per_step()
             )
-        # Periodic network-counter queries, mirroring the paper's
-        # "whenever 10% of the total number of blocks are generated".
-        total_blocks = ctx.sim_ranks * ctx.steps * ctx.blocks_per_step()
-        self._query_every = max(1, total_blocks // max(1, self.counter_queries))
-        self._blocks_sent_global = 0
 
     # -- producer side -----------------------------------------------------------
     def producer_put(self, ctx, rank: int, step: int, nbytes: int) -> Generator:
@@ -188,9 +181,6 @@ class ZipperTransport(Transport):
             rank_stats["transfer_busy_time"] += env._now - busy_start
             stats["blocks_sent_network"] += 1
             stats["bytes_network"] += desc.nbytes
-            self._blocks_sent_global += 1
-            if self._blocks_sent_global % self._query_every == 0:
-                ctx.cluster.counters.query(env._now)
             yield delivery.put(desc)
 
     def _writer_process(self, ctx, rank: int, state: _ProducerState) -> Generator:
@@ -215,12 +205,7 @@ class ZipperTransport(Transport):
                 ctx.note_buffer_level(rank, len(state.buffer.items))
                 return
             busy_start = env.now
-            yield from fs.write(
-                node,
-                desc.nbytes,
-                filename=f"zipper_r{rank}",
-                rate_scale=ctx.bandwidth_share,
-            )
+            yield from fs.write(node, desc.nbytes, rate_scale=ctx.bandwidth_share)
             desc.via = "file"
             elapsed = env.now - busy_start
             ctx.sim_rank_stats[rank]["writer_busy_time"] += elapsed
@@ -241,12 +226,7 @@ class ZipperTransport(Transport):
             if desc.eof:
                 return
             start = env.now
-            yield from fs.read(
-                node,
-                desc.nbytes,
-                filename=f"zipper_r{desc.source_rank}",
-                rate_scale=ctx.bandwidth_share,
-            )
+            yield from fs.read(node, desc.nbytes, rate_scale=ctx.bandwidth_share)
             ctx.analysis_rank_stats[arank]["reader_busy_time"] += env.now - start
             yield cstate.delivery.put(desc)
 
@@ -261,12 +241,7 @@ class ZipperTransport(Transport):
                 cstate.output_done.set()
                 return
             start = env.now
-            yield from fs.write(
-                node,
-                desc.nbytes,
-                filename=f"preserve_a{arank}",
-                rate_scale=ctx.bandwidth_share,
-            )
+            yield from fs.write(node, desc.nbytes, rate_scale=ctx.bandwidth_share)
             ctx.analysis_rank_stats[arank]["output_busy_time"] += env.now - start
             ctx.stats["blocks_preserved"] += 1
             ctx.stats["bytes_preserved"] += desc.nbytes
@@ -308,10 +283,3 @@ class ZipperTransport(Transport):
         self._producers.clear()
         self._consumers.clear()
         self._expected_blocks.clear()
-
-    # -- introspection ---------------------------------------------------------------
-    def _total_stolen_fraction(self, ctx) -> float:
-        produced = ctx.stats.get("blocks_produced", 0.0)
-        if produced <= 0:
-            return 0.0
-        return ctx.stats.get("blocks_stolen", 0.0) / produced

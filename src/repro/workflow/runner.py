@@ -645,7 +645,6 @@ class PipelineRunner:
             )
         for cctx in ctx.couplings:
             self.transports[cctx.name].teardown(cctx)
-        ctx.cluster.counters.query(env.now)
 
         stats: Dict[str, float] = defaultdict(float)
         for cctx in ctx.couplings:
@@ -673,7 +672,7 @@ class PipelineRunner:
             else 0
         )
         stats["events_processed"] = env.events_processed - controller_events
-        xmit_wait = ctx.cluster.counters.total("XmitWait") * ctx.rank_scale_factor
+        xmit_wait = ctx.cluster.network.xmit_wait_total() * ctx.rank_scale_factor
 
         stage_rank_stats = {
             name: {rank: dict(v) for rank, v in per_stage.items()}

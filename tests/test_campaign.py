@@ -57,6 +57,9 @@ class TestBackoffPolicy:
         assert all(0.75 <= d <= 1.25 for d in delays.values())
         assert len(set(delays.values())) > 1
 
+    def test_jitter_values_are_pinned(self):
+        assert BackoffPolicy(seed=7).delay("case", 3) == 0.8342465
+
     def test_seed_changes_the_schedule(self):
         assert BackoffPolicy(seed=1).schedule("x", 3) != BackoffPolicy(seed=2).schedule("x", 3)
 
@@ -179,6 +182,12 @@ class TestWorkBoard:
     def test_duplicate_case_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             WorkBoard([("a", "h"), ("a", "h")])
+
+    def test_nan_lease_seconds_rejected(self):
+        # A NaN deadline never expires, so a dead worker's shard would
+        # never be reclaimed.
+        with pytest.raises(ValueError, match="lease_seconds"):
+            _board(2, lease_seconds=float("nan"))
 
     def test_snapshot_is_json_safe_and_complete(self):
         import json
@@ -364,6 +373,18 @@ class TestCampaignEndToEnd:
         assert not thread.is_alive()
         assert revived.board.counts()["done"] == 9
         assert store.canonical_bytes() == _serial_baseline(tmp_path).canonical_bytes()
+
+    def test_nan_safety_knobs_rejected(self, tmp_path):
+        """A NaN timeout or budget never runs out, so each one is refused."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="case_timeout_seconds"):
+            Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", case_timeout_seconds=nan)
+        with pytest.raises(ValueError, match="give_up_seconds"):
+            CampaignWorker("http://127.0.0.1:9", give_up_seconds=nan)
+        campaign = Campaign(_tiny_descriptor(), _serial_baseline(tmp_path))
+        with CoordinatorServer(campaign) as server:
+            with pytest.raises(ValueError, match="timeout"):
+                server.serve_until_complete(timeout=nan)
 
     def test_spec_drift_aborts_the_worker_loudly(self, tmp_path):
         store = ResultStore(tmp_path / "campaign.jsonl")

@@ -171,7 +171,7 @@ class TestComputeFastPath:
 
             env.process(proc(env))
             env.run()
-            return env.now, env.events_processed, node.busy_core_seconds
+            return env.now, env.events_processed
 
         assert run(claims=1) == run(claims=0)
 
@@ -192,7 +192,7 @@ class TestComputeFastPath:
 
             env.process(proc(env))
             env.run()
-            return env.now, env.events_processed, node.busy_core_seconds
+            return env.now, env.events_processed
 
         assert run(batched=True) == run(batched=False)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.lint import lint_source, select_rules
@@ -287,6 +288,36 @@ class TestShippedTreeCertificate:
         assert compute["literal_credits"] == [2]
         batch = by_function["repro.cluster.node:ComputeNode.compute_batch"]
         assert batch["dynamic_credit"] is True
+
+    def test_docs_table_matches_the_shipped_report(self):
+        """docs/static-analysis.md's certificate table is the report, row by row."""
+        text = (REPO_ROOT / "docs" / "static-analysis.md").read_text(encoding="utf-8")
+        header = "| Event class | Sites | Verdicts | Pool-safe | Pooled |"
+        lines = text.split(header, 1)[1].splitlines()[2:]
+        table = {}
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            name, sites, verdicts, pool_safe, pooled = (
+                cell.strip() for cell in line.strip("|").split("|")
+            )
+            counts = {}
+            for part in verdicts.split(", "):
+                count, verdict = part.split(" ")
+                counts["escapes" if verdict == "escape" else verdict] = int(count)
+            table[name.strip("`")] = (
+                int(sites), counts, pool_safe == "yes", pooled.strip("*") == "yes"
+            )
+        report = {
+            name: (
+                len(entry["sites"]),
+                dict(Counter(site["verdict"] for site in entry["sites"])),
+                entry["pool_safe"],
+                entry["pooled"],
+            )
+            for name, entry in _shipped_report()["event_classes"].items()
+        }
+        assert table == report
 
     def test_flow_report_cli_round_trips_as_json(self):
         proc = subprocess.run(

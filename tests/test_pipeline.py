@@ -493,9 +493,11 @@ class TestExtrasRegression:
 
     def test_extras_configure_the_transport(self, small_cfd_config):
         runner = PipelineRunner(
-            small_cfd_config.replace(extras={"counter_queries": 3}).to_pipeline()
+            small_cfd_config.replace(
+                transport="mpiio", extras={"poll_interval": 0.01}
+            ).to_pipeline()
         )
-        assert runner.transports["simulation->analysis"].counter_queries == 3
+        assert runner.transports["simulation->analysis"].poll_interval == 0.01
 
     def test_extras_change_behaviour(self, small_synthetic_config):
         base = small_synthetic_config.replace(trace=False)

@@ -179,6 +179,11 @@ class TestConfigHash:
         assert derive_case_seed(1, "a") != derive_case_seed(1, "b")
         assert derive_case_seed(1, "a") != derive_case_seed(2, "a")
 
+    def test_case_seed_values_are_pinned(self):
+        # Stored records carry these seeds; a change would re-run every case.
+        assert derive_case_seed(1, "a") == 2101915313
+        assert derive_case_seed(2, "figure2/zipper") == 613344319
+
 
 def _downsized_figure16() -> SweepSpec:
     """A small Figure-16 grid that still contains Decaf's modelled crash."""
@@ -488,6 +493,8 @@ class TestCaseTimeout:
     def test_rejects_non_positive_timeout(self):
         with pytest.raises(ValueError, match="case_timeout_seconds"):
             SweepRunner(case_timeout_seconds=0)
+        with pytest.raises(ValueError, match="case_timeout_seconds"):
+            SweepRunner(case_timeout_seconds=float("nan"))
 
     def test_hung_case_is_killed_and_recorded(self, monkeypatch):
         import repro.sweep.runner as runner_module

@@ -14,6 +14,7 @@ from repro.transports import (
     create_transport,
 )
 from repro.transports.registry import canonical_name
+from repro.transports.staging import StagingLockService
 from repro.workflow import WorkflowConfig, run_pipeline
 
 
@@ -51,17 +52,29 @@ class TestRegistry:
 
 
 class TestTransportParameterValidation:
+    """Options arrive from outside the program, so NaN must fail every check."""
+
     def test_mpiio(self):
         with pytest.raises(ValueError):
             MPIIOTransport(shared_file_penalty=0.0)
         with pytest.raises(ValueError):
             MPIIOTransport(poll_interval=0.0)
+        with pytest.raises(ValueError):
+            MPIIOTransport(poll_interval=float("nan"))
 
     def test_flexpath(self):
         with pytest.raises(ValueError):
             FlexpathTransport(socket_node_bandwidth=0)
         with pytest.raises(ValueError):
             FlexpathTransport(socket_contention=-1)
+        with pytest.raises(ValueError):
+            FlexpathTransport(socket_node_bandwidth=float("nan"))
+        with pytest.raises(ValueError):
+            FlexpathTransport(socket_contention=float("nan"))
+        with pytest.raises(ValueError):
+            FlexpathTransport(epoch_overhead=float("nan"))
+        with pytest.raises(ValueError):
+            FlexpathTransport(fetch_request_bytes=-1)
 
     def test_decaf(self):
         with pytest.raises(ValueError):
@@ -70,6 +83,16 @@ class TestTransportParameterValidation:
             DecafTransport(element_bytes=0)
         with pytest.raises(ValueError):
             DecafTransport(serialization_seconds_per_byte=-1)
+        with pytest.raises(ValueError):
+            DecafTransport(element_bytes=float("nan"))
+        with pytest.raises(ValueError):
+            DecafTransport(serialization_seconds_per_byte=float("nan"))
+
+    def test_staging_lock_service(self):
+        with pytest.raises(ValueError):
+            StagingLockService(per_request_service=float("nan"))
+        with pytest.raises(ValueError):
+            StagingLockService(request_bytes=-1)
 
 
 @pytest.fixture(scope="module")

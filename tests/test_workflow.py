@@ -156,6 +156,15 @@ class TestRunnerResults:
         )
         assert concurrent.xmit_wait <= mpi_only.xmit_wait * 1.05
 
+    def test_result_xmit_wait_is_the_scaled_port_total(self, small_synthetic_config):
+        runner = PipelineRunner(
+            small_synthetic_config.replace(concurrent_transfer=False).to_pipeline()
+        )
+        result = runner.run()
+        total = runner.ctx.cluster.network.xmit_wait_total()
+        assert total > 0
+        assert result.xmit_wait == total * runner.ctx.rank_scale_factor
+
     def test_weak_scaling_congestion_grows(self, bridges_spec):
         workload = synthetic_workload("O(n)", 1 * MiB, data_per_rank=32 * MiB)
 
