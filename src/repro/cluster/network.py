@@ -206,8 +206,13 @@ class Network:
         rate (``s`` < 1 for a lender, > 1 for a borrower).  The default of
         1.0 leaves the arithmetic bit-identical to an unleased transfer.
         """
-        if rate_scale <= 0:
-            raise ValueError("rate_scale must be positive")
+        # Written so that NaN fails too.
+        if not rate_scale > 0:
+            raise ValueError(f"rate_scale must be positive, got {rate_scale!r}")
+        if not congestion_weight >= 0:
+            raise ValueError(
+                f"congestion_weight must be non-negative, got {congestion_weight!r}"
+            )
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         num_nodes = self.num_nodes
@@ -216,19 +221,19 @@ class Network:
             self._check_node(dst)
         env = self.env
         spec = self.spec
-        start = env.now
+        start = env._now
 
         if nbytes == 0:
             # Pure synchronisation message: latency only.
             yield env.sleep(spec.latency + spec.per_message_overhead)
-            return TransferResult(src, dst, 0, start, env.now, 0.0, 0.0, flow)
+            return TransferResult(src, dst, 0, start, env._now, 0.0, 0.0, flow)
 
         if src == dst:
             duration = spec.per_message_overhead + nbytes / self.intra_node_bandwidth
             if self.jitter_cv > 0:
                 duration = self.rng.jitter("network.intra", duration, self.jitter_cv)
             yield env.sleep(duration)
-            return TransferResult(src, dst, nbytes, start, env.now, 0.0, 0.0, flow)
+            return TransferResult(src, dst, nbytes, start, env._now, 0.0, 0.0, flow)
 
         tx = self._inject[src]
         rx = self._eject[dst]
@@ -306,7 +311,7 @@ class Network:
                 load = stage.load - congestion_weight
                 stage.load = load if load > 0.0 else 0.0
 
-        return TransferResult(src, dst, nbytes, start, env.now, queued, stalled, flow)
+        return TransferResult(src, dst, nbytes, start, env._now, queued, stalled, flow)
 
     def scale_node_bandwidth(self, node: int, factor: float) -> None:
         """Scale one node's port bandwidths (used for under-filled modelled nodes).
@@ -325,6 +330,8 @@ class Network:
 
     def add_background_load(self, node: int, weight: float) -> None:
         """Register standing load on a node's ports (e.g. file traffic share)."""
+        if not weight >= 0:  # written so that NaN fails too
+            raise ValueError(f"weight must be non-negative, got {weight!r}")
         self._check_node(node)
         self._inject[node].load += weight
         self._eject[node].load += weight

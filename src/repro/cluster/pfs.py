@@ -91,8 +91,8 @@ class ParallelFileSystem:
     def _io(self, node: int, nbytes: int, op: str, rate_scale: float) -> Generator:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if rate_scale <= 0:
-            raise ValueError("rate_scale must be positive")
+        if not rate_scale > 0:  # written so that NaN fails too
+            raise ValueError(f"rate_scale must be positive, got {rate_scale!r}")
         env = self.env
         start = env.now
 

@@ -538,8 +538,8 @@ class _Scanner:
         """Classify a call as an event allocation, if it is one."""
         if tail is None:
             return None
-        # Spelled-out constructor of an Event subclass.
-        if tail in self.project.event_classes and tail[:1].isupper():
+        # Spelled-out constructor of an Event subclass (private ones too).
+        if tail in self.project.event_classes and tail.lstrip("_")[:1].isupper():
             return ((tail,), False)
         if isinstance(call.func, ast.Attribute):
             hint = self._infer_receiver(call.func.value)

@@ -481,16 +481,21 @@ class Environment:
             )
         queue = self._queue
         step = self.step
-        while stop_event.callbacks is not None:
-            if not queue:
-                raise SimulationError(
-                    "run_bounded exhausted the schedule before the event "
-                    "was triggered"
-                )
-            if queue[0][0] > bound:
-                self._now = bound
-                return False
-            step()
+        try:
+            if bound == float("inf"):
+                # No boundary to reach: step() alone, as run(until=event).
+                while stop_event.callbacks is not None:
+                    step()
+            else:
+                while stop_event.callbacks is not None:
+                    if queue and queue[0][0] > bound:
+                        self._now = bound
+                        return False
+                    step()
+        except EmptySchedule:
+            raise SimulationError(
+                "run_bounded exhausted the schedule before the event was triggered"
+            ) from None
         if not stop_event._ok:
             stop_event._defused = True
             raise stop_event._value

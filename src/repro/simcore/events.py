@@ -323,7 +323,8 @@ class Process(Event):
             event = next_event
             consumed_inplace = True
 
-        self._target = None if self.triggered else self._target
+        if self._value is not PENDING:
+            self._target = None
         env._active_process = None
 
     def __repr__(self) -> str:

@@ -6,11 +6,25 @@ import math
 from typing import Any, Generator, List, Optional, Sequence
 
 from repro.cluster.machine import Cluster
-from repro.simcore import AllOf, FilterStore, SimBarrier, Timeout
+from repro.simcore import Event, FilterStore, SimBarrier
+from repro.simcore.events import URGENT
+from repro.simcore.resources import StoreGet
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
 from repro.trace import Tracer
 
 __all__ = ["Communicator"]
+
+
+class _Receive(StoreGet):
+    """The receive :meth:`Communicator.sendrecv` posts.
+
+    A subclass, so the engine never recycles it.  Under ``pool_events`` a
+    plain :class:`~repro.simcore.resources.StoreGet` is recycled when it is
+    dispatched, but a receive that completes before its send is dispatched
+    with no waiter, and the caller reads its message afterwards.
+    """
+
+    __slots__ = ()
 
 
 class Communicator:
@@ -68,6 +82,7 @@ class Communicator:
         return len(self.rank_nodes)
 
     def node_of(self, rank: int) -> int:
+        """The modelled node hosting ``rank``."""
         self._check_rank(rank)
         return self.rank_nodes[rank]
 
@@ -124,19 +139,62 @@ class Communicator:
     ) -> Generator:
         """``MPI_Sendrecv``: exchange with neighbours, as the LBM streaming phase does.
 
-        The send and the receive run as two concurrent processes; the call
-        returns the received :class:`Message` once both have completed.  The
-        traced duration of this call is what the paper's Figures 5 and 6
-        show growing once a staging library competes for the same NIC.
+        Returns the received :class:`Message` once both the send and the
+        receive have completed.  The traced duration of this call is what
+        the paper's Figures 5 and 6 show growing once a staging library
+        competes for the same NIC.
+
+        The call drives :meth:`send` and the posted receive in the caller's
+        own process.  Every event still happens at the time and in the order
+        it would if the send and the receive ran as two processes joined by
+        an ``AllOf``, and the events that form dispatched to no effect are
+        credited, so ``events_processed`` is the same too (see
+        "Process-free ``sendrecv``" in docs/performance.md).
         """
         env = self.env
-        start = env.now
-        send = env.process(self.send(rank, dest, send_bytes, tag=send_tag))
-        recv = env.process(self.recv(rank, source, tag=recv_tag))
-        yield AllOf(env, [send, recv])
+        start = env._now
+        send = self.send(rank, dest, send_bytes, tag=send_tag)
+        queue = env._queue
+        if not env._solo_callback or (
+            queue and queue[0][1] == URGENT and queue[0][0] <= start
+        ):
+            # Code that would run ahead of the two processes' urgent
+            # Initialize events: other callbacks of the current event, or
+            # urgent events queued at this instant.  One urgent hop, queued
+            # where the send's Initialize would be, lets it run first.
+            hop = Event(env)
+            hop._ok = True
+            hop._value = None
+            env.schedule(hop, priority=URGENT)
+            yield hop
+            credit = 1
+        else:
+            credit = 2
+        # The send's first segment issues the transfer; then the receive is
+        # posted.  The two Initialize events that ran them are credited,
+        # less the one the urgent hop stood for.
+        event = next(send)
+        receive = _Receive(self._mailboxes[rank], lambda m: m.matches(source, recv_tag))
+        env.credit_events(credit)
+        try:
+            while True:
+                event = send.send((yield event))
+        except StopIteration:
+            pass
+        # Whichever half ended first only counted towards the AllOf.
+        env.credit_events(1)
+        if receive.callbacks is not None:
+            yield receive
+        # The later half's end, then the AllOf: two same-time hops, each
+        # completed in place exactly when its queue trip would be the next
+        # pop.
+        for _hop in range(2):
+            hop = Event(env)
+            env.trigger_inplace(hop)
+            yield hop
         if self.tracer is not None:
-            self.tracer.record(rank, "sendrecv", start, env.now, dest=dest, source=source)
-        return recv.value
+            self.tracer.record(rank, "sendrecv", start, env._now, dest=dest, source=source)
+        return receive._value
 
     # -- collectives ---------------------------------------------------------
     def barrier(self, rank: int) -> Generator:
@@ -144,7 +202,7 @@ class Communicator:
         self._check_rank(rank)
         start = self.env.now
         yield self._barrier.wait()
-        yield Timeout(self.env, self._collective_latency())
+        yield self.env.sleep(self._collective_latency())
         if self.tracer is not None:
             self.tracer.record(rank, "barrier", start, self.env.now)
 

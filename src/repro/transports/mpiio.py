@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator
 
-from repro.simcore import Timeout
 from repro.transports.base import Transport
 from repro.transports.registry import register_transport
 
@@ -87,7 +86,7 @@ class MPIIOTransport(Transport):
         for step in range(ctx.steps):
             poll_start = env.now
             while self._steps_visible <= step:
-                yield Timeout(env, self.poll_interval)
+                yield env.sleep(self.poll_interval)
             ctx.analysis_rank_stats[arank]["poll_time"] += env.now - poll_start
             if self.collective_sync:
                 yield from ctx.analysis_comm.barrier(arank)

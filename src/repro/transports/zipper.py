@@ -140,7 +140,7 @@ class ZipperTransport(Transport):
             note_level(rank, len(items))
             if len(items) > hwm:
                 state.above_watermark.notify_all()
-        if stall_start is not None:
+        if stall_start is not None and ctx.tracer.enabled:
             ctx.record_sim(rank, "stall", stall_start, step=step)
 
     def producer_finalize(self, ctx, rank: int) -> Generator:

@@ -381,14 +381,16 @@ class PipelineRunner:
             and not halo_active
         )
         pools = self._assist_pools
+        tracing = self.tracer.enabled
 
         step = 0
         while step < steps:
-            step_start = env.now
+            step_start = env._now
             pool = pools.get(stage_name)
             if coalescable and node.can_batch and (pool is None or pool.active <= 0):
                 # With no outbound couplings there is no interaction until the
                 # end of the run, so the whole remaining step range coalesces.
+                # A coalescable run is untraced, so it records no spans.
                 elapsed = yield from node.compute_batch(
                     chunks, steps=1 if puts else steps - step
                 )
@@ -396,25 +398,23 @@ class PipelineRunner:
                     for span in elapsed:
                         stats["compute_time"] += span
                         stats["steps_done"] += 1.0
-                        put_start = env.now
+                        put_start = env._now
                         for cctx, transport in puts:
                             yield from transport.producer_put(
                                 cctx, rank, step, out_bytes
                             )
-                        ctx.record_stage(stage_name, rank, "put", put_start, step=step)
-                        stats["put_time"] += env.now - put_start
-                        ctx.record_stage(stage_name, rank, "step", step_start, step=step)
+                        stats["put_time"] += env._now - put_start
                         step += 1
-                        step_start = env.now
                     continue
                 # The batch declined (a transient core holder): run the
                 # exact per-phase sequence below.
             compute_this_step = 0.0
             for (phase, _fraction), chunk in zip(phases, chunks):
-                phase_start = env.now
+                phase_start = env._now
                 yield from self._stage_compute(stage_name, node, chunk)
-                compute_this_step += env.now - phase_start
-                ctx.record_stage(stage_name, rank, phase, phase_start, step=step)
+                compute_this_step += env._now - phase_start
+                if tracing:
+                    ctx.record_stage(stage_name, rank, phase, phase_start, step=step)
                 if phase == "streaming" and halo_active:
                     yield from comm.sendrecv(rank, right, halo_bytes, left)
                     if double_halo:
@@ -424,16 +424,17 @@ class PipelineRunner:
             # unlike coupling byte flow (which measures the *transfer*, not
             # the stage), this advances only when the stage itself does.
             stats["steps_done"] += 1.0
-            put_start = env.now
+            put_start = env._now
             for cctx, transport in puts:
                 yield from transport.producer_put(cctx, rank, step, out_bytes)
-            ctx.record_stage(stage_name, rank, "put", put_start, step=step)
-            stats["put_time"] += env.now - put_start
-            ctx.record_stage(stage_name, rank, "step", step_start, step=step)
+            if tracing:
+                ctx.record_stage(stage_name, rank, "put", put_start, step=step)
+                ctx.record_stage(stage_name, rank, "step", step_start, step=step)
+            stats["put_time"] += env._now - put_start
             step += 1
         for cctx, transport in puts:
             yield from transport.producer_finalize(cctx, rank)
-        stats["finish_time"] = env.now
+        stats["finish_time"] = env._now
 
     def _consumer_rank_process(self, stage_name: str, rank: int) -> Generator:
         """One rank of a consuming stage.

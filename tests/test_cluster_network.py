@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster, Network
@@ -59,6 +61,37 @@ class TestTransfer:
         env, net = make_network(num_nodes=2)
         with pytest.raises(ValueError):
             run_transfer(env, net, 0, 5, 10)
+
+    @pytest.mark.parametrize("weight", [float("nan"), -1.0])
+    def test_nan_or_negative_congestion_weight_rejected(self, weight):
+        # Such a flow used to run: a NaN weight hid the port's load from other
+        # flows and a negative one made later flows finish too early.
+        env, net = make_network()
+        with pytest.raises(ValueError, match="congestion_weight"):
+            run_transfer(env, net, 0, 1, 1024 * 1024, congestion_weight=weight)
+        assert net.port_load(0) == 0.0
+
+    def test_zero_congestion_weight_is_legal(self):
+        env, net = make_network()
+        result = run_transfer(env, net, 0, 1, 1024 * 1024, congestion_weight=0.0)
+        assert result.duration > 0
+        assert net.port_load(0) == 0.0
+
+    def test_nan_rate_scale_rejected(self):
+        env, net = make_network()
+        with pytest.raises(ValueError, match="rate_scale"):
+            run_transfer(env, net, 0, 1, 1024 * 1024, rate_scale=float("nan"))
+        # The ports were left alone: a later transfer is unaffected.
+        result = run_transfer(env, net, 0, 1, 1024 * 1024)
+        assert result.queued == 0.0
+        assert math.isfinite(result.finish)
+
+    @pytest.mark.parametrize("weight", [float("nan"), -1.0])
+    def test_nan_or_negative_background_load_rejected(self, weight):
+        _, net = make_network()
+        with pytest.raises(ValueError, match="weight"):
+            net.add_background_load(0, weight)
+        assert net.port_load(0) == 0.0
 
     def test_fifo_queueing_at_source_port(self):
         env, net = make_network()

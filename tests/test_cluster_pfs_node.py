@@ -62,6 +62,13 @@ class TestParallelFileSystem:
         with pytest.raises(ValueError):
             run_io(env, fs.write(0, -5))
 
+    @pytest.mark.parametrize("op", ["write", "read"])
+    def test_nan_rate_scale_rejected(self, op):
+        # It used to fail later, with the kernel's unrelated "invalid delay".
+        env, fs = make_pfs()
+        with pytest.raises(ValueError, match="rate_scale"):
+            run_io(env, getattr(fs, op)(0, 1024 * 1024, rate_scale=float("nan")))
+
     def test_zero_byte_io_costs_only_metadata(self):
         env = Environment()
         fs = ParallelFileSystem(

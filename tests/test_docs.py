@@ -40,6 +40,7 @@ DOCSTRINGED_PACKAGES = (
     "perfmodel",
     "lint",
     "tenants",
+    "simmpi",
 )
 
 #: Top-level modules (not packages) held to the same docstring standard.

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.presets import laptop
+from repro.simcore import AllOf
 from repro.simmpi import Communicator, Message
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG
 from repro.trace import Tracer
@@ -17,6 +20,91 @@ def comm_setup():
     tracer = Tracer()
     comm = Communicator(cluster, [0, 1, 2, 3], represented_size=4096, tracer=tracer)
     return cluster, comm, tracer
+
+
+def _two_process_sendrecv(comm, rank, dest, send_bytes, source, recv_tag=0, send_tag=0):
+    """``sendrecv`` as two processes joined by an ``AllOf``: the order reference."""
+    env = comm.env
+    start = env.now
+    send = env.process(comm.send(rank, dest, send_bytes, tag=send_tag))
+    recv = env.process(comm.recv(rank, source, tag=recv_tag))
+    yield AllOf(env, [send, recv])
+    if comm.tracer is not None:
+        comm.tracer.record(rank, "sendrecv", start, env.now, dest=dest, source=source)
+    return recv.value
+
+
+#: Ring message sizes per rank: rank r sends _SIZES[r] and receives
+#: _SIZES[r - 1], so some receives finish before their send and some after.
+_SIZES = (64 * 1024, 1024 * 1024, 16 * 1024, 256 * 1024)
+_ROUNDS = 3
+#: Nodes 0-3 host the ring; the interfering traffic leaves from node 4.
+_OTHER_NODE = 4
+
+
+def _ring_run(reference, pool_events=False, interferer=None, shared_start=False):
+    """Run ring exchanges through one ``sendrecv`` form; return what must match.
+
+    ``interferer(network)``, if given, is started as a process after the
+    ranks.  With ``shared_start``, the ranks first wait on one shared
+    event, and a process waiting on it after them loads rank 0's injection
+    port.  Jitter is on, so every transfer draws from the network's random
+    streams.
+    """
+    cluster = Cluster(laptop(), num_nodes=6, deterministic=False, pool_events=pool_events)
+    env, network = cluster.env, cluster.network
+    comm = Communicator(cluster, [0, 1, 2, 3], represented_size=4096)
+    exchange = partial(_two_process_sendrecv, comm) if reference else comm.sendrecv
+    transfers = []
+    issue = network.transfer
+
+    def recorded_transfer(*args, **kwargs):
+        result = yield from issue(*args, **kwargs)
+        transfers.append((result.src, result.dst, result.start, result.finish, result.queued))
+        return result
+
+    network.transfer = recorded_transfer
+    ends, received = [], []
+    start = env.timeout(1e-3) if shared_start else None
+
+    def rank_proc(rank):
+        if start is not None:
+            yield start
+        for _round in range(_ROUNDS):
+            msg = yield from exchange(rank, (rank + 1) % 4, _SIZES[rank], (rank - 1) % 4)
+            ends.append((env.now, rank))
+            received.append((rank, msg.source, msg.nbytes))
+
+    for rank in range(4):
+        env.process(rank_proc(rank))
+    if interferer is not None:
+        env.process(interferer(network))
+    if start is not None:
+        env.process(_port_loader(network, start))
+    cluster.run()
+    return {
+        "transfers": transfers,
+        "received": received,
+        "ends": ends,
+        "events": env.events_processed,
+        "now": env.now,
+        "xmit_wait": network.xmit_wait_total(),
+    }
+
+
+def _late_sender(network, when, sink, hops):
+    """Wake at ``when``, take ``hops`` same-time hops, then send to ``sink``."""
+    yield network.env.sleep_until(when)
+    for _ in range(hops):
+        yield network.env.sleep(0)
+    yield from network.transfer(_OTHER_NODE, sink, 128 * 1024)
+
+
+def _port_loader(network, start=None):
+    """Load rank 0's injection port (after ``start``, if given)."""
+    if start is not None:
+        yield start
+    yield from network.transfer(0, _OTHER_NODE, 512 * 1024)
 
 
 class TestMessage:
@@ -105,8 +193,11 @@ class TestPointToPoint:
             assert (msg.source, msg.dest, msg.nbytes) == ((rank - 1) % comm.size, rank, 65536)
 
     def test_sendrecv_ring_events_and_end_time_are_pinned(self, comm_setup):
-        # Two ring exchanges: each sendrecv runs one send and one receive
-        # process, and the model's event count depends on exactly that.
+        # Two ring exchanges.  events_processed counts each sendrecv as the
+        # eight events of the two-process form (two Initialize events, the
+        # transfer, the mailbox put, the receive, two process ends and the
+        # AllOf), whether each one is dispatched, completed in place or
+        # credited.
         cluster, comm, _ = comm_setup
 
         def rank_proc(rank):
@@ -120,6 +211,51 @@ class TestPointToPoint:
         cluster.run()
         assert cluster.env.events_processed == 72
         assert cluster.env.now == pytest.approx(5.62144e-05, rel=1e-12)
+
+
+class TestSendrecvOrderIdentity:
+    """``sendrecv`` keeps every event of the two-process form in time and order."""
+
+    @pytest.mark.parametrize("hops", range(5))
+    def test_interferer_at_each_exchange_end(self, hops):
+        # Waking at an exchange's end instant and hopping 0-4 times, the
+        # interferer lands before or after the caller's resume exactly as it
+        # did against the two-process form, so its send and the rank's next
+        # send reach the sink's port in the same order.
+        ends = _ring_run(reference=True, pool_events=True)["ends"]
+        for when, rank in sorted(set(ends)):
+            interferer = partial(_late_sender, when=when, sink=(rank + 1) % 4, hops=hops)
+            expected = _ring_run(reference=True, pool_events=True, interferer=interferer)
+            actual = _ring_run(reference=False, pool_events=True, interferer=interferer)
+            assert actual == expected, (when, rank)
+
+    def test_sendrecv_from_the_first_segment(self):
+        # The ranks call sendrecv before a later-created process has run its
+        # first segment; that process's transfer still reaches rank 0's
+        # injection port first.
+        expected = _ring_run(reference=True, interferer=_port_loader)
+        actual = _ring_run(reference=False, interferer=_port_loader)
+        assert actual == expected
+        rank0_first_send = next(t for t in expected["transfers"] if t[:2] == (0, 1))
+        assert rank0_first_send[4] > 0  # queued behind the other process's transfer
+
+    def test_sendrecv_from_one_of_several_callbacks(self):
+        # The ranks resume from one shared event, and a later callback of that
+        # event loads rank 0's injection port before any rank's send is
+        # issued.
+        expected = _ring_run(reference=True, shared_start=True)
+        actual = _ring_run(reference=False, shared_start=True)
+        assert actual == expected
+        rank0_first_send = next(t for t in expected["transfers"] if t[:2] == (0, 1))
+        assert rank0_first_send[4] > 0
+
+    @pytest.mark.parametrize("pool_events", [False, True])
+    def test_receives_finishing_before_and_after_the_send(self, pool_events):
+        expected = _ring_run(reference=True, pool_events=pool_events)
+        actual = _ring_run(reference=False, pool_events=pool_events)
+        assert actual == expected
+        for rank, source, nbytes in actual["received"]:
+            assert (source, nbytes) == ((rank - 1) % 4, _SIZES[(rank - 1) % 4])
 
 
 class TestCollectives:
