@@ -92,10 +92,12 @@ class Cluster:
     # -- convenience -------------------------------------------------------
     @property
     def now(self) -> float:
+        """Current simulated time of the cluster's environment."""
         return self.env.now
 
     @property
     def cores_per_node(self) -> int:
+        """Cores on one node of the machine."""
         return self.spec.node.cores
 
     @property
@@ -105,9 +107,11 @@ class Cluster:
 
     @property
     def modelled_cores(self) -> int:
+        """Cores on the explicitly modelled nodes."""
         return self.num_nodes * self.spec.node.cores
 
     def node(self, node_id: int) -> ComputeNode:
+        """The modelled compute node with id ``node_id``."""
         return self.nodes[node_id]
 
     def node_of_rank(self, rank: int, ranks_per_node: Optional[int] = None) -> int:

@@ -56,6 +56,7 @@ class TransferResult:
 
     @property
     def duration(self) -> float:
+        """Seconds from the transfer's start to its finish."""
         return self.finish - self.start
 
     @property
@@ -337,6 +338,9 @@ class Network:
         self._eject[node].load += weight
 
     def remove_background_load(self, node: int, weight: float) -> None:
+        """Withdraw standing load from a node's ports, never below zero."""
+        if not weight >= 0:  # written so that NaN fails too
+            raise ValueError(f"weight must be non-negative, got {weight!r}")
         self._check_node(node)
         self._inject[node].load = max(0.0, self._inject[node].load - weight)
         self._eject[node].load = max(0.0, self._eject[node].load - weight)

@@ -34,10 +34,12 @@ class IOResult:
 
     @property
     def duration(self) -> float:
+        """Seconds from the operation's start to its finish."""
         return self.finish - self.start
 
     @property
     def bandwidth(self) -> float:
+        """Achieved bandwidth in bytes/second."""
         if self.duration <= 0:
             return float("inf")
         return self.nbytes / self.duration

@@ -209,6 +209,7 @@ class ClusterSpec:
         return replace(self, seed=seed)
 
     def cores_per_node(self) -> int:
+        """Cores on one node of this machine."""
         return self.node.cores
 
     def nodes_for_cores(self, cores: int) -> int:

@@ -12,9 +12,12 @@ and yields one :class:`SweepRecord` per case.  Each case runs through
   yields a result with ``failed=True`` (as the paper reports Decaf's overflow),
   and an outright crash in one scenario yields an errored record; neither
   kills the rest of the sweep.
-* **Resume** — with a :class:`~repro.sweep.store.ResultStore` attached,
-  scenarios whose ``(label, config-hash)`` key is already recorded are skipped
-  and their stored summary is surfaced instead of being re-run.
+* **Resume** — with a :class:`~repro.sweep.store.ResultStore` (or a path)
+  attached, scenarios whose ``(label, config-hash)`` key is already recorded
+  are skipped and their stored summary is surfaced instead of being re-run.
+  The per-case work is done once: a case dispatched again reuses its
+  prepared (reseeded) case and cached hash, and the store keeps its resume
+  index in memory between runs (see ``docs/sweep-format.md``).
 * **Warm workers** — the process pool persists across :meth:`SweepRunner.run`
   calls, so grid families dispatched through one runner reuse already-forked
   workers instead of paying pool start-up per grid; cases are dispatched in
@@ -25,6 +28,7 @@ and yields one :class:`SweepRecord` per case.  Each case runs through
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_module
 import time
 import traceback
@@ -189,8 +193,11 @@ class SweepRunner:
         ``0`` (or ``1``) runs in-process and serially; ``n > 1`` fans out over
         an ``n``-process pool.  ``None`` uses the machine's CPU count.
     store:
-        Optional :class:`ResultStore` (or path) recording every executed case
-        and providing resume.
+        Optional :class:`ResultStore`, or the path of one, recording every
+        executed case and providing resume.  Each case is prepared and hashed
+        once: dispatching the same :class:`SweepCase` objects again reuses
+        them, and the store's in-memory resume index replaces a re-read of
+        the file.
     reseed:
         Derive a per-case seed from the config's seed and the case label
         (default).  Disable to run every case with its config's seed verbatim.
@@ -214,7 +221,7 @@ class SweepRunner:
     def __init__(
         self,
         workers: Optional[int] = 0,
-        store: Union[ResultStore, str, None] = None,
+        store: Union[ResultStore, str, os.PathLike, None] = None,
         reseed: bool = True,
         trace: Optional[bool] = None,
         progress: Optional[ProgressCallback] = None,
@@ -230,7 +237,7 @@ class SweepRunner:
             raise ValueError("case_timeout_seconds must be positive")
         self.case_timeout_seconds = case_timeout_seconds
         self.workers = int(workers)
-        self.store = ResultStore(store) if isinstance(store, (str,)) else store
+        self.store = ResultStore(store) if isinstance(store, (str, os.PathLike)) else store
         self.reseed = reseed
         self.trace = trace
         self.progress = progress
@@ -293,6 +300,15 @@ class SweepRunner:
         return out
 
     def _prepare(self, case: SweepCase) -> SweepCase:
+        """The case as this runner executes it: reseeded, trace overridden.
+
+        The result is cached on ``case`` under the runner's ``(reseed,
+        trace)``, so a case dispatched again keeps its prepared case and that
+        case's cached digest; other settings prepare it again.
+        """
+        cached = case._prepared
+        if cached is not None and cached[0] == self.reseed and cached[1] == self.trace:
+            return cached[2] or case
         config = case.config
         changes: Dict[str, object] = {}
         if self.trace is not None and config.trace != self.trace:
@@ -301,7 +317,9 @@ class SweepRunner:
             seed = derive_case_seed(config.seed, case.label)
             if seed != config.seed:
                 changes["seed"] = seed
-        return SweepCase(case.label, config.replace(**changes)) if changes else case
+        prepared = SweepCase(case.label, config.replace(**changes)) if changes else None
+        case._prepared = (self.reseed, self.trace, prepared)
+        return prepared or case
 
     # -- execution ---------------------------------------------------------
     def run(self, cases: Cases) -> List[SweepRecord]:
@@ -311,25 +329,22 @@ class SweepRunner:
         done = 0
         records: List[Optional[SweepRecord]] = [None] * total
 
-        # One pass over the store: the latest intact record per resume key
-        # (crashed records are excluded so a re-run retries them).
-        stored: Dict[Tuple[str, str], Dict[str, object]] = {}
-        if self.store is not None:
-            for rec in self.store.iter_records():
-                if rec.get("ok", True):
-                    key = (str(rec["label"]), str(rec.get("config_hash", "")))
-                    stored[key] = rec
+        # The latest intact record per resume key (crashed records are
+        # excluded so a re-run retries them).
+        stored = self.store.resume_index() if self.store is not None else {}
 
         pending: List[Tuple[int, str, str, AnyConfig]] = []
         for index, case in enumerate(prepared):
             digest = case.config_digest
-            if (case.label, digest) in stored:
+            summary = stored.get((case.label, digest))
+            if summary is not None:
+                # A copy: the store's index outlives this run.
                 record = SweepRecord(
                     label=case.label,
                     config_hash=digest,
                     seed=case.config.seed,
                     skipped=True,
-                    summary=stored[(case.label, digest)],
+                    summary=dict(summary),
                 )
                 records[index] = record
                 done += 1

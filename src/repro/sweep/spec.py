@@ -78,14 +78,23 @@ def config_hash(config: AnyConfig) -> str:
 
 
 class SweepCase:
-    """One labelled scenario of a sweep."""
+    """One labelled scenario of a sweep.
 
-    __slots__ = ("label", "config", "_hash")
+    ``label`` and ``config`` are never reassigned once the case is built:
+    the case caches its :func:`config_hash` and the case a
+    :class:`~repro.sweep.runner.SweepRunner` prepares from it, and both
+    caches would go stale.  Build a new case to change either.
+    """
+
+    __slots__ = ("label", "config", "_hash", "_prepared")
 
     def __init__(self, label: str, config: AnyConfig):
         self.label = str(label)
         self.config = config
         self._hash: Optional[str] = None
+        #: ``(reseed, trace, prepared)`` of the last runner that prepared
+        #: this case; ``prepared`` is ``None`` when that is the case itself.
+        self._prepared: Optional[Tuple[bool, Optional[bool], Optional[SweepCase]]] = None
 
     @property
     def config_digest(self) -> str:

@@ -9,7 +9,8 @@ Traces are deliberately not persisted; re-run the single scenario of interest
 with ``trace=True`` to regenerate one.
 
 The full record schema — including the per-stage/per-coupling breakdowns and
-the elastic rebalance timeline — is documented in ``docs/sweep-format.md``.
+the elastic rebalance timeline — is documented in ``docs/sweep-format.md``,
+as is the in-memory resume index a store keeps between runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.workflow.result import WorkflowResult
 
@@ -32,6 +34,27 @@ __all__ = ["BatchWriter", "ResultStore", "VOLATILE_KEYS", "result_payload"]
 VOLATILE_KEYS: FrozenSet[str] = frozenset(
     {"elapsed", "shard", "attempt", "worker", "poisoned"}
 )
+
+
+#: Resume key of a record: ``(label, config_hash)``.
+Key = Tuple[str, str]
+#: ``(st_dev, st_ino, st_size, st_mtime_ns)`` of a store file.
+Signature = Tuple[int, int, int, int]
+
+
+def _signature(path: Path) -> Optional[Signature]:
+    """The file's identity, size and modification time; ``None`` if missing."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _index_record(index: Dict[Key, Dict[str, object]], record: Dict[str, object]) -> None:
+    """File ``record`` under its resume key unless it crashed (a re-run retries it)."""
+    if record.get("ok", True):
+        index[(str(record["label"]), str(record.get("config_hash", "")))] = record
 
 
 def result_payload(result: WorkflowResult) -> Dict[str, object]:
@@ -87,6 +110,9 @@ class ResultStore:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
+        #: The resume index and the file signature it is valid for.
+        self._index: Optional[Dict[Key, Dict[str, object]]] = None
+        self._index_signature: Optional[Signature] = None
 
     def __repr__(self) -> str:
         return f"<ResultStore {str(self.path)!r}>"
@@ -166,6 +192,33 @@ class ResultStore:
         """Every intact record as a list (see :meth:`iter_records`)."""
         return list(self.iter_records())
 
+    def resume_index(self) -> Mapping[Key, Dict[str, object]]:
+        """The latest ``ok`` record per resume key, kept between calls.
+
+        Built by :meth:`iter_records`, so torn tails are skipped and corrupt
+        lines quarantined as on any read.  The index is trusted while the
+        file's ``(st_dev, st_ino, st_size, st_mtime_ns)`` signature equals
+        the one taken before the read that built it; a read during which the
+        file changed is not kept.  This store's own :class:`BatchWriter`
+        extends the index with what it writes; any other change to the file
+        (another writer's append, a rewrite or truncation, a quarantine, a
+        deletion) forces a rebuild.  A missing file is an empty index that
+        is not kept, so a store that a run creates holds none of its records
+        in memory until a later read builds the index from the file.
+
+        The records are shared with the index: copy one before editing it.
+        """
+        signature = _signature(self.path)
+        if self._index is not None and signature == self._index_signature:
+            return MappingProxyType(self._index)
+        index: Dict[Key, Dict[str, object]] = {}
+        for record in self.iter_records():
+            _index_record(index, record)
+        kept = signature is not None and _signature(self.path) == signature
+        self._index = index if kept else None
+        self._index_signature = signature
+        return MappingProxyType(index)
+
     def completed_keys(self) -> Set[Tuple[str, str]]:
         """Resume keys of every scenario already recorded as executed.
 
@@ -173,11 +226,7 @@ class ResultStore:
         modelled :class:`~repro.transports.base.TransportFault` failure) are
         not treated as completed, so a re-run retries them.
         """
-        keys: Set[Tuple[str, str]] = set()
-        for record in self.iter_records():
-            if record.get("ok", True):
-                keys.add((str(record["label"]), str(record.get("config_hash", ""))))
-        return keys
+        return set(self.resume_index())
 
     def get(self, label: str, config_hash: str) -> Optional[Dict[str, object]]:
         """The most recent record for a resume key, or ``None``."""
@@ -294,6 +343,11 @@ class BatchWriter:
     The JSONL contract is unchanged: one self-contained record per line,
     append-only.  What changes is the write path — one ``open`` for the
     whole batch instead of one per record, with periodic flushes.
+
+    When the store's resume index matched the file as the writer opened, the
+    writer parses each completed record it writes and adds it to the index
+    on :meth:`close` — provided the file then grew by exactly the bytes the
+    writer wrote, healing newline included.  Otherwise it drops the index.
     """
 
     def __init__(self, store: ResultStore, flush_every: int = 16):
@@ -304,23 +358,42 @@ class BatchWriter:
         self.appended = 0
         self._unflushed = 0
         self._fh = None
+        #: Records written for the index, or ``None`` when not extending it.
+        self._added: Optional[Dict[Key, Dict[str, object]]] = None
+        #: ``(st_dev, st_ino, st_size)`` the file must show at close.
+        self._expect: Tuple[int, int, int] = (0, 0, 0)
 
     def __enter__(self) -> "BatchWriter":
-        self.store.path.parent.mkdir(parents=True, exist_ok=True)
-        healing = self.store._torn_tail()
-        self._fh = self.store.path.open("a", encoding="utf-8")
+        store = self.store
+        store.path.parent.mkdir(parents=True, exist_ok=True)
+        healing = store._torn_tail()
+        self._fh = store.path.open("a", encoding="utf-8")
+        indexed = store._index_signature  # never None while an index is kept
+        if store._index is not None and _signature(store.path) == indexed:
+            self._added = {}
+            self._expect = indexed[:3]
         if healing:
-            self._fh.write("\n")
+            self._write("\n")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+    def _write(self, text: str) -> None:
+        self._fh.write(text)
+        # json.dumps escapes non-ASCII, so characters are bytes.
+        dev, ino, size = self._expect
+        self._expect = (dev, ino, size + len(text))
+
     def append(self, record: Dict[str, object]) -> None:
         """Buffer one already-flattened record (flushed every ``flush_every``)."""
         if self._fh is None:
             raise RuntimeError("batch writer is not open; use it as a context manager")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        line = json.dumps(record, sort_keys=True) + "\n"
+        self._write(line)
+        if self._added is not None and "label" in record:
+            # Parse what was written, so the index holds what a re-read would.
+            _index_record(self._added, json.loads(line))
         self.appended += 1
         self._unflushed += 1
         if self._unflushed >= self.flush_every:
@@ -333,9 +406,21 @@ class BatchWriter:
             self._unflushed = 0
 
     def close(self) -> None:
-        """Flush and release the file handle (idempotent)."""
+        """Flush and release the file handle, then settle the index (idempotent)."""
         if self._fh is not None:
             self._fh.flush()
             self._fh.close()
             self._fh = None
             self._unflushed = 0
+            store, added, self._added = self.store, self._added, None
+            signature = _signature(store.path)
+            if (
+                added is not None
+                and store._index is not None
+                and signature is not None
+                and signature[:3] == self._expect
+            ):
+                store._index.update(added)
+                store._index_signature = signature
+            else:
+                store._index = None

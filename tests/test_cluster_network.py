@@ -92,6 +92,11 @@ class TestTransfer:
         with pytest.raises(ValueError, match="weight"):
             net.add_background_load(0, weight)
         assert net.port_load(0) == 0.0
+        # A rejected removal leaves the standing load as it was.
+        net.add_background_load(0, 1.0)
+        with pytest.raises(ValueError, match="weight"):
+            net.remove_background_load(0, weight)
+        assert net.port_load(0) == 1.0
 
     def test_fifo_queueing_at_source_port(self):
         env, net = make_network()

@@ -41,6 +41,7 @@ DOCSTRINGED_PACKAGES = (
     "lint",
     "tenants",
     "simmpi",
+    "cluster",
 )
 
 #: Top-level modules (not packages) held to the same docstring standard.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
@@ -291,6 +292,17 @@ class TestResultStoreResume:
         assert len(store.load()) == 1
         assert {label for label, _ in store.completed_keys()} == {"case"}
 
+    def test_store_may_be_given_as_a_path(self, tmp_path):
+        store_path = tmp_path / "sweep.jsonl"
+        cases = [("case", small_config())]
+        runner = SweepRunner(workers=0, store=store_path, trace=False)
+        assert isinstance(runner.store, ResultStore)
+        [first] = runner.run(cases)
+        assert not first.skipped
+        [resumed] = SweepRunner(workers=0, store=store_path, trace=False).run(cases)
+        assert resumed.skipped
+        assert resumed.summary["end_to_end_time"] == first.result.end_to_end_time
+
     def test_errored_records_are_retried(self, tmp_path):
         store = ResultStore(tmp_path / "sweep.jsonl")
         store.append({"label": "case", "config_hash": "deadbeef", "ok": False})
@@ -420,6 +432,172 @@ class TestBatchWriter:
         # After the resume the store is whole again: every key completed.
         keys = ResultStore(store_path).completed_keys()
         assert {label for label, _ in keys} == {f"case-{i}" for i in range(6)}
+
+
+class TestRepeatedDispatch:
+    """One runner and one store kept across ``run()`` calls.
+
+    The runner keeps each case's prepared case and the store its resume
+    index between calls; whatever changes the store file in between must
+    still be seen.
+    """
+
+    def cases(self, n=4):
+        return [SweepCase(f"case-{i}", small_config(seed=i + 1)) for i in range(n)]
+
+    def runner(self, tmp_path):
+        # The store file exists, so the index is kept from the first run on.
+        path = tmp_path / "sweep.jsonl"
+        path.touch()
+        return SweepRunner(workers=0, store=ResultStore(path), trace=False)
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Count the calls of ``owner.name`` for the rest of the test."""
+        calls = []
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_second_run_hashes_and_parses_nothing(self, tmp_path, monkeypatch):
+        import repro.sweep.spec as spec_module
+
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        assert not any(r.skipped for r in runner.run(cases))
+        hashes = self.count_calls(monkeypatch, spec_module, "config_hash")
+        parses = self.count_calls(monkeypatch, json, "loads")
+        assert all(r.skipped for r in runner.run(cases))
+        assert (hashes, parses) == ([], [])
+
+    def test_a_store_the_run_creates_is_not_parsed(self, tmp_path, monkeypatch):
+        # No index is kept for a missing file, so its writer parses nothing.
+        parses = self.count_calls(monkeypatch, json, "loads")
+        store = ResultStore(tmp_path / "new.jsonl")
+        SweepRunner(workers=0, store=store, trace=False).run(self.cases())
+        assert parses == []
+
+    def test_records_another_store_appends_are_skipped(self, tmp_path):
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        runner.run(cases[:2])
+        other = SweepRunner(workers=0, store=ResultStore(runner.store.path), trace=False)
+        other.run(cases[2:])
+        assert all(r.skipped for r in runner.run(cases))
+
+    # The first progress call comes from a skip, before the writer opens;
+    # the second from a run case, while the writer holds the file open.
+    @pytest.mark.parametrize("when", [1, 2], ids=["before-writer-opens", "while-writing"])
+    def test_append_during_a_run_is_seen_by_the_next(self, tmp_path, when):
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        runner.run(cases[:1])
+        other = ResultStore(runner.store.path)
+
+        def append_once(record, done, total):
+            if done == when:
+                other.append({"label": "elsewhere", "config_hash": "h", "ok": True})
+
+        runner.progress = append_once
+        runner.run(cases)
+        assert ("elsewhere", "h") in runner.store.completed_keys()
+
+    def test_append_during_the_index_read_is_seen_by_the_next(self, tmp_path, monkeypatch):
+        runner = self.runner(tmp_path)
+        runner.run(self.cases(1))
+        store, other = runner.store, ResultStore(runner.store.path)
+        real_iter = ResultStore.iter_records
+
+        def racing_iter(self, heal=True):
+            yield from real_iter(self, heal)
+            if self is store:
+                other.append({"label": "elsewhere", "config_hash": "h", "ok": True})
+
+        monkeypatch.setattr(ResultStore, "iter_records", racing_iter)
+        os.utime(store.path, ns=(0, 0))  # moves the signature: the next read rebuilds
+        assert ("elsewhere", "h") not in store.completed_keys()
+        monkeypatch.setattr(ResultStore, "iter_records", real_iter)
+        assert ("elsewhere", "h") in store.completed_keys()
+
+    def test_healed_torn_tail_keeps_the_index(self, tmp_path, monkeypatch):
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        runner.run(cases[:2])
+        with runner.store.path.open("a") as fh:
+            fh.write('{"label": "torn", "config_')
+        assert [r.skipped for r in runner.run(cases)] == [True, True, False, False]
+        parses = self.count_calls(monkeypatch, json, "loads")
+        assert all(r.skipped for r in runner.run(cases))
+        assert parses == []
+
+    def test_rewrite_that_drops_records_reruns_them(self, tmp_path):
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        runner.run(cases)
+        path = runner.store.path
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2]) + "\n")
+        records = runner.run(cases)
+        assert [r.skipped for r in records] == [True, True, False, False]
+        assert len(runner.store.load()) == 4
+
+    def test_deleted_store_reruns_every_case(self, tmp_path):
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        runner.run(cases)
+        runner.store.path.unlink()
+        assert not any(r.skipped for r in runner.run(cases))
+        assert all(r.skipped for r in runner.run(cases))
+
+    def test_corrupt_line_written_between_runs_is_quarantined(self, tmp_path):
+        import warnings
+
+        cases = self.cases()
+        runner = self.runner(tmp_path)
+        runner.run(cases)
+        path = runner.store.path
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["GARBAGE not json"] + lines[2:]) + "\n")
+        with pytest.warns(RuntimeWarning, match="quarantined 1"):
+            records = runner.run(cases)
+        assert all(r.skipped for r in records)
+        assert runner.store.quarantine_path.read_text() == "GARBAGE not json\n"
+        assert path.read_text().splitlines() == lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(r.skipped for r in runner.run(cases))
+
+    def test_editing_a_skipped_summary_does_not_reach_the_next_run(self, tmp_path):
+        cases = self.cases(1)
+        runner = self.runner(tmp_path)
+        runner.run(cases)
+        [skipped] = runner.run(cases)
+        stored = runner.store.get(skipped.label, skipped.config_hash)
+        assert skipped.summary == stored
+        skipped.summary["end_to_end_time"] = -1.0
+        del skipped.summary["transport"]
+        [again] = runner.run(cases)
+        assert again.skipped
+        assert again.summary == stored
+
+    def test_changed_trace_prepares_the_cases_again(self, tmp_path):
+        cases = self.cases(2)
+        runner = self.runner(tmp_path)
+        first = runner.run(cases)
+        runner.trace = True
+        traced = runner.run(cases)
+        assert not any(r.skipped for r in traced)
+        assert all(r.result.tracer is not None for r in traced)
+        assert {r.config_hash for r in traced}.isdisjoint(r.config_hash for r in first)
+        runner.trace = False
+        again = runner.run(cases)
+        assert all(r.skipped for r in again)
+        assert [r.config_hash for r in again] == [r.config_hash for r in first]
 
 
 class TestPersistentPool:
