@@ -32,25 +32,12 @@ from repro.campaign.protocol import (
     DESCRIPTOR_KNOBS,
     CoordinatorClient,
     CoordinatorUnreachable,
+    add_descriptor_arguments,
     spec_descriptor,
 )
 from repro.campaign.worker import CampaignWorker
 
 __all__ = ["main"]
-
-
-def _add_descriptor_arguments(parser: argparse.ArgumentParser) -> None:
-    """The grid-downsizing knobs, mirroring the plain sweep CLI."""
-    parser.add_argument("--steps", type=int, default=DESCRIPTOR_KNOBS["steps"],
-                        help="workflow steps per scenario")
-    parser.add_argument("--steps-cap", type=int, default=DESCRIPTOR_KNOBS["steps_cap"],
-                        help="step cap for figure12/13")
-    parser.add_argument("--sim-ranks", type=int, default=DESCRIPTOR_KNOBS["sim_ranks"],
-                        help="representative simulation ranks")
-    parser.add_argument("--data-mib", type=int, default=DESCRIPTOR_KNOBS["data_mib"],
-                        help="per-rank MiB for the synthetic figures")
-    parser.add_argument("--cores", default=DESCRIPTOR_KNOBS["cores"],
-                        help="comma-separated core counts (figure-dependent)")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser("serve", help="shard a figure sweep and coordinate workers")
     serve.add_argument("figure", choices=FIGURES, help="which figure's scenario grid to run")
-    _add_descriptor_arguments(serve)
+    add_descriptor_arguments(serve)
     serve.add_argument("--store", required=True,
                        help="JSONL result store path (resume + durable state)")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -102,12 +89,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _serve(args: argparse.Namespace) -> int:
     descriptor = spec_descriptor(
-        args.figure,
-        steps=args.steps,
-        steps_cap=args.steps_cap,
-        sim_ranks=args.sim_ranks,
-        data_mib=args.data_mib,
-        cores=args.cores,
+        args.figure, **{knob: getattr(args, knob) for knob in DESCRIPTOR_KNOBS}
     )
     campaign = Campaign(
         descriptor,

@@ -35,6 +35,7 @@ __all__ = [
     "CoordinatorUnreachable",
     "DESCRIPTOR_KNOBS",
     "PROTOCOL_VERSION",
+    "add_descriptor_arguments",
     "campaign_cases",
     "resolve_spec",
     "spec_descriptor",
@@ -43,8 +44,9 @@ __all__ = [
 #: Bumped on incompatible wire or sharding changes; both sides check it.
 PROTOCOL_VERSION = 1
 
-#: Descriptor knobs and their defaults — mirrors the ``repro.sweep`` CLI
-#: parser so a descriptor names the same grid a local sweep would run.
+#: Descriptor knobs and their defaults.  The ``repro.sweep`` and campaign
+#: ``serve`` parsers both add them through :func:`add_descriptor_arguments`,
+#: so a descriptor names the same grid a local sweep would run.
 DESCRIPTOR_KNOBS: Dict[str, object] = {
     "steps": 4,
     "steps_cap": 64,
@@ -52,6 +54,28 @@ DESCRIPTOR_KNOBS: Dict[str, object] = {
     "data_mib": 32,
     "cores": "",
 }
+
+_KNOB_HELP: Dict[str, str] = {
+    "steps": "workflow steps per scenario",
+    "steps_cap": "step cap for figure12/13",
+    "sim_ranks": "representative simulation ranks",
+    "data_mib": "per-rank MiB for the synthetic figures",
+    "cores": (
+        "comma-separated core counts (figure14/16/18 and pipelines); "
+        "elastic, elastic-model, faults and tenants accept a single value"
+    ),
+}
+
+
+def add_descriptor_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add one ``--<knob>`` option per :data:`DESCRIPTOR_KNOBS` entry."""
+    for knob, default in DESCRIPTOR_KNOBS.items():
+        parser.add_argument(
+            "--" + knob.replace("_", "-"),
+            type=type(default),
+            default=default,
+            help=_KNOB_HELP[knob],
+        )
 
 
 def spec_descriptor(figure: str, **knobs: object) -> Dict[str, object]:

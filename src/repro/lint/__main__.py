@@ -37,7 +37,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fix",
         action="store_true",
-        help="apply mechanical fixes in place (bare-except, event-slots)",
+        help="apply mechanical fixes in place (event-slots)",
     )
     parser.add_argument(
         "--select",

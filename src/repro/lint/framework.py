@@ -15,8 +15,9 @@ Three properties matter more than generality:
   file-level ``# lint: skip-file``), so every accepted exception is visible
   in the diff that introduced it.
 * **Fixes are mechanical or absent** — a rule may attach a :class:`LineFix`
-  only when the rewrite is provably behaviour-preserving (e.g. ``except:`` →
-  ``except Exception:``); everything else is a human's job.
+  only when the rewrite is provably behaviour-preserving (e.g. an empty
+  ``__slots__`` for a slotless event subclass); everything else is a
+  human's job.
 """
 
 from __future__ import annotations

@@ -111,24 +111,15 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def _parser() -> argparse.ArgumentParser:
+    from repro.campaign.protocol import add_descriptor_arguments
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.sweep",
         description="Run one of the paper's figure sweeps through the parallel sweep engine.",
     )
     parser.add_argument("figure", choices=FIGURES, help="which figure's scenario grid to run")
     parser.add_argument("--workers", type=int, default=0, help="worker processes (0 = serial)")
-    parser.add_argument("--steps", type=int, default=4, help="workflow steps per scenario")
-    parser.add_argument("--steps-cap", type=int, default=64, help="step cap for figure12/13")
-    parser.add_argument("--sim-ranks", type=int, default=4, help="representative simulation ranks")
-    parser.add_argument("--data-mib", type=int, default=32, help="per-rank MiB for the synthetic figures")
-    parser.add_argument(
-        "--cores",
-        default="",
-        help=(
-            "comma-separated core counts (figure14/16/18 and pipelines); "
-            "elastic/elastic-model accept a single value (the total to split)"
-        ),
-    )
+    add_descriptor_arguments(parser)
     parser.add_argument("--store", default="", help="JSONL result store path (enables resume)")
     parser.add_argument("--trace", action="store_true", help="keep tracing enabled (slower)")
     parser.add_argument(

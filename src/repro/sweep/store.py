@@ -326,7 +326,7 @@ class ResultStore:
             fh.flush()
 
     def batch(self, flush_every: int = 16) -> "BatchWriter":
-        """A buffered appender holding the file open across records.
+        """A buffered appender that writes ``flush_every`` records per open.
 
         Use as a context manager; records are flushed to disk every
         ``flush_every`` appends and on exit, so a crash mid-batch loses at
@@ -341,13 +341,17 @@ class BatchWriter:
     """Buffered batch-append handle of one :class:`ResultStore`.
 
     The JSONL contract is unchanged: one self-contained record per line,
-    append-only.  What changes is the write path — one ``open`` for the
-    whole batch instead of one per record, with periodic flushes.
+    append-only.  What changes is the write path — records are buffered and
+    every ``flush_every`` of them go out in one ``open("a")`` and write
+    instead of one per record.  No file handle is held between flushes, so
+    a store file that a quarantine rewrote meanwhile receives the later
+    lines; like :meth:`ResultStore.append`, each flush first heals a torn
+    tail.
 
     When the store's resume index matched the file as the writer opened, the
     writer parses each completed record it writes and adds it to the index
     on :meth:`close` — provided the file then grew by exactly the bytes the
-    writer wrote, healing newline included.  Otherwise it drops the index.
+    writer wrote, healing newlines included.  Otherwise it drops the index.
     """
 
     def __init__(self, store: ResultStore, flush_every: int = 16):
@@ -356,8 +360,8 @@ class BatchWriter:
         self.store = store
         self.flush_every = flush_every
         self.appended = 0
-        self._unflushed = 0
-        self._fh = None
+        #: Lines not yet written, or ``None`` while the writer is not open.
+        self._pending: Optional[List[str]] = None
         #: Records written for the index, or ``None`` when not extending it.
         self._added: Optional[Dict[Key, Dict[str, object]]] = None
         #: ``(st_dev, st_ino, st_size)`` the file must show at close.
@@ -366,61 +370,57 @@ class BatchWriter:
     def __enter__(self) -> "BatchWriter":
         store = self.store
         store.path.parent.mkdir(parents=True, exist_ok=True)
-        healing = store._torn_tail()
-        self._fh = store.path.open("a", encoding="utf-8")
+        self._pending = []
         indexed = store._index_signature  # never None while an index is kept
         if store._index is not None and _signature(store.path) == indexed:
             self._added = {}
             self._expect = indexed[:3]
-        if healing:
-            self._write("\n")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _write(self, text: str) -> None:
-        self._fh.write(text)
-        # json.dumps escapes non-ASCII, so characters are bytes.
-        dev, ino, size = self._expect
-        self._expect = (dev, ino, size + len(text))
-
     def append(self, record: Dict[str, object]) -> None:
         """Buffer one already-flattened record (flushed every ``flush_every``)."""
-        if self._fh is None:
+        if self._pending is None:
             raise RuntimeError("batch writer is not open; use it as a context manager")
         line = json.dumps(record, sort_keys=True) + "\n"
-        self._write(line)
+        self._pending.append(line)
         if self._added is not None and "label" in record:
             # Parse what was written, so the index holds what a re-read would.
             _index_record(self._added, json.loads(line))
         self.appended += 1
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
+        if len(self._pending) >= self.flush_every:
             self.flush()
 
     def flush(self) -> None:
-        """Force buffered records to disk."""
-        if self._fh is not None and self._unflushed:
-            self._fh.flush()
-            self._unflushed = 0
+        """Append the buffered records to the file, healing a torn tail first."""
+        if not self._pending:
+            return
+        store = self.store
+        text = ("\n" if store._torn_tail() else "") + "".join(self._pending)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write(text)
+        self._pending.clear()
+        # json.dumps escapes non-ASCII, so characters are bytes.
+        dev, ino, size = self._expect
+        self._expect = (dev, ino, size + len(text))
 
     def close(self) -> None:
-        """Flush and release the file handle, then settle the index (idempotent)."""
-        if self._fh is not None:
-            self._fh.flush()
-            self._fh.close()
-            self._fh = None
-            self._unflushed = 0
-            store, added, self._added = self.store, self._added, None
-            signature = _signature(store.path)
-            if (
-                added is not None
-                and store._index is not None
-                and signature is not None
-                and signature[:3] == self._expect
-            ):
-                store._index.update(added)
-                store._index_signature = signature
-            else:
-                store._index = None
+        """Flush, then settle the index (idempotent)."""
+        if self._pending is None:
+            return
+        self.flush()
+        self._pending = None
+        store, added, self._added = self.store, self._added, None
+        signature = _signature(store.path)
+        if (
+            added is not None
+            and store._index is not None
+            and signature is not None
+            and signature[:3] == self._expect
+        ):
+            store._index.update(added)
+            store._index_signature = signature
+        else:
+            store._index = None

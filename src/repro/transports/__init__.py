@@ -36,8 +36,7 @@ from repro.transports.registry import (
 )
 from repro.transports.null import NullTransport
 from repro.transports.mpiio import MPIIOTransport
-from repro.transports.dataspaces import DataSpacesTransport
-from repro.transports.dimes import DIMESTransport
+from repro.transports.staging import DataSpacesTransport, DIMESTransport
 from repro.transports.flexpath import FlexpathTransport
 from repro.transports.decaf import DecafTransport
 from repro.transports.zipper import ZipperTransport

@@ -110,32 +110,5 @@ class Transport(ABC):
         """
         return 1
 
-    # -- helpers shared by implementations ---------------------------------
-    def transfer_sim_to_analysis(
-        self,
-        ctx: "CouplingContext",
-        sim_rank: int,
-        arank: int,
-        nbytes: int,
-        flow: str = "msg",
-        congestion_weight: float = 1.0,
-    ) -> TransportGenerator:
-        """Move ``nbytes`` from a simulation rank's node to an analysis rank's node.
-
-        Honours the coupling's bandwidth lease: the transfer drains at
-        ``ctx.bandwidth_share`` × its fair-share rate, which is how an
-        elastic controller lets a starved coupling borrow bandwidth from an
-        idle one (see :mod:`repro.elastic`).
-        """
-        result = yield from ctx.cluster.network.transfer(
-            ctx.sim_node(sim_rank),
-            ctx.analysis_node(arank),
-            nbytes,
-            flow=flow,
-            congestion_weight=congestion_weight,
-            rate_scale=getattr(ctx, "bandwidth_share", 1.0),
-        )
-        return result
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -395,10 +395,9 @@ class CouplingContext:
         factors in order: the elastic bandwidth lease, the fault injector's
         transport-restart derating and the owning tenant's facility share.
         Transports consult :attr:`bandwidth_share` when issuing transfers
-        (via :meth:`~repro.transports.base.Transport.transfer_sim_to_analysis`
-        and the file-system ``rate_scale`` argument), so the new share takes
-        effect for every operation *issued* after this call; in-flight
-        operations keep the rate frozen at issue time.
+        (the network and file-system ``rate_scale`` arguments), so the new
+        share takes effect for every operation *issued* after this call;
+        in-flight operations keep the rate frozen at issue time.
         """
         self._factors.set(owner, factor)
         self._share = self._factors.times(1.0)

@@ -19,6 +19,7 @@ from repro.campaign import (
     spec_descriptor,
 )
 from repro.sweep import ResultStore, SweepRunner
+from repro.sweep.cli import FIGURES
 from repro.sweep.spec import SweepCase
 
 
@@ -219,6 +220,14 @@ class TestProtocol:
         descriptor["version"] = 999
         with pytest.raises(ValueError, match="version"):
             resolve_spec(descriptor)
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_default_descriptor_names_the_sweep_cli_default_grid(self, figure):
+        from repro.sweep.cli import _parser, build_spec
+
+        local = [case.key for case in build_spec(_parser().parse_args([figure])).cases()]
+        remote = [case.key for case in resolve_spec(spec_descriptor(figure)).cases()]
+        assert local and local == remote
 
     def test_both_sides_expand_the_same_grid(self):
         first = [(c.label, c.config_digest) for c in campaign_cases(_tiny_descriptor())]

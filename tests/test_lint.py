@@ -137,18 +137,6 @@ RULE_FIXTURES = [
         MODEL_MOD,
     ),
     (
-        "H401",
-        "def record(value, out=[]):\n    out.append(value)\n",
-        "def record(value, out=None):\n    out = [] if out is None else out\n    out.append(value)\n",
-        MODEL_MOD,
-    ),
-    (
-        "H402",
-        "try:\n    pass\nexcept:\n    pass\n",
-        "try:\n    pass\nexcept Exception:\n    pass\n",
-        MODEL_MOD,
-    ),
-    (
         "F501",
         (
             "def proc(self, env, store: Store):\n"
@@ -269,10 +257,10 @@ def test_model_scope_rules_skip_measurement_layers():
         assert lint_source(firing, module_name=package + ".fixture") != []
 
 
-def test_hygiene_rules_apply_everywhere():
-    firing = "try:\n    pass\nexcept:\n    pass\n"
+def test_unscoped_rules_apply_everywhere():
+    firing = "class StepDone(Event):\n    pass\n"
     assert [f.rule for f in lint_source(firing, module_name="repro.bench.fixture")] == [
-        "H402"
+        "E302"
     ]
 
 
@@ -349,13 +337,13 @@ def test_stale_now_yield_in_terminating_branch_does_not_poison_main_path():
 
 
 def test_select_and_ignore_filter_rules():
-    firing = "import time\nt = time.perf_counter()\ntry:\n    pass\nexcept:\n    pass\n"
+    firing = "import time\nt = time.perf_counter()\nclass StepDone(Event):\n    pass\n"
     only_d = lint_source(firing, module_name=MODEL_MOD, rules=select_rules(["D202"]))
     assert [f.rule for f in only_d] == ["D202"]
     no_d = lint_source(
         firing, module_name=MODEL_MOD, rules=select_rules(ignore=["D202"])
     )
-    assert [f.rule for f in no_d] == ["H402"]
+    assert [f.rule for f in no_d] == ["E302"]
     with pytest.raises(ValueError):
         select_rules(["NOPE"])
 
@@ -417,15 +405,6 @@ def test_json_reporter_golden():
 # -- fixes ----------------------------------------------------------------
 
 
-def test_fix_bare_except_rewrites_and_relints_clean():
-    source = "try:\n    x = 1\nexcept:\n    x = 2\n"
-    findings = lint_source(source, module_name=MODEL_MOD)
-    fixed, applied = apply_fixes(source, findings)
-    assert [f.rule for f in applied] == ["H402"]
-    assert "except Exception:" in fixed
-    assert lint_source(fixed, module_name=MODEL_MOD) == []
-
-
 def test_fix_event_slots_inserts_declaration():
     source = 'class StepDone(Event):\n    """Docs."""\n\n    def f(self):\n        pass\n'
     findings = lint_source(source, module_name=MODEL_MOD)
@@ -447,9 +426,9 @@ def test_fix_applied_order_matches_report_and_roundtrips():
     # *reported* applied list must read top-down like the findings — even
     # when the findings are handed over in scrambled order.
     source = (
-        "try:\n    x = 1\nexcept:\n    x = 2\n"
+        "class StepStart(Event):\n    pass\n"
         "class StepDone(Event):\n    pass\n"
-        "try:\n    y = 1\nexcept:\n    y = 2\n"
+        "class StepFailed(Event):\n    pass\n"
     )
     findings = lint_source(source, module_name=MODEL_MOD)
     fixed, applied = apply_fixes(source, list(reversed(findings)))
@@ -462,7 +441,7 @@ def test_fix_applied_order_matches_report_and_roundtrips():
 
 
 def test_fix_report_renders_applied_lines_in_order():
-    source = "try:\n    x = 1\nexcept:\n    x = 2\n"
+    source = "x = 1\nclass StepDone(Event):\n    pass\n"
     report = LintReport()
     fixed, applied = apply_fixes(
         source, lint_source(source, module_name=MODEL_MOD, path="pkg/mod.py")
@@ -471,19 +450,19 @@ def test_fix_report_renders_applied_lines_in_order():
     report.fixes_applied = len(applied)
     report.applied = applied
     text = render_text(report)
-    assert "fixed: pkg/mod.py:3:0: H402" in text
+    assert "fixed: pkg/mod.py:2:0: E302" in text
     assert "1 fix(es) applied" in text
     payload = json.loads(render_json(report))
-    assert [f["rule"] for f in payload["applied"]] == ["H402"]
+    assert [f["rule"] for f in payload["applied"]] == ["E302"]
 
 
 def test_lint_paths_fix_writes_file_back(tmp_path):
     bad = tmp_path / "mod.py"
-    bad.write_text("try:\n    x = 1\nexcept:\n    x = 2\n", encoding="utf-8")
+    bad.write_text("class StepDone(Event):\n    pass\n", encoding="utf-8")
     report = lint_paths([tmp_path], fix=True)
     assert report.fixes_applied == 1
     assert report.findings == []
-    assert "except Exception:" in bad.read_text(encoding="utf-8")
+    assert "__slots__ = ()" in bad.read_text(encoding="utf-8")
 
 
 # -- walking, module names, CLI -------------------------------------------
@@ -521,18 +500,18 @@ def test_cli_shipped_tree_is_clean():
 
 def test_cli_findings_exit_one(tmp_path):
     bad = tmp_path / "pkg.py"
-    bad.write_text("try:\n    pass\nexcept:\n    pass\n", encoding="utf-8")
+    bad.write_text("class StepDone(Event):\n    pass\n", encoding="utf-8")
     proc = _run_cli(str(bad))
     assert proc.returncode == 1
-    assert "H402" in proc.stdout
+    assert "E302" in proc.stdout
 
 
 def test_cli_json_format(tmp_path):
     bad = tmp_path / "pkg.py"
-    bad.write_text("try:\n    pass\nexcept:\n    pass\n", encoding="utf-8")
+    bad.write_text("class StepDone(Event):\n    pass\n", encoding="utf-8")
     proc = _run_cli("--format", "json", str(bad))
     assert proc.returncode == 1
-    assert json.loads(proc.stdout)["findings"][0]["rule"] == "H402"
+    assert json.loads(proc.stdout)["findings"][0]["rule"] == "E302"
 
 
 def test_cli_unknown_rule_and_missing_path_exit_two(tmp_path):

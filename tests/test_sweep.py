@@ -814,6 +814,18 @@ class TestQuarantine:
             assert len(list(store.iter_records(heal=False))) == 1
         assert store.path.read_text() == before
 
+    def test_open_batch_writer_survives_a_quarantine(self, tmp_path):
+        store = ResultStore(tmp_path / "sweep.jsonl")
+        store.append(self.payload("a"))
+        with store.path.open("a") as fh:
+            fh.write("GARBAGE\n")
+        with store.batch(flush_every=1) as writer:
+            writer.append(self.payload("b"))
+            with pytest.warns(RuntimeWarning, match="quarantined 1"):
+                ResultStore(store.path).load()
+            writer.append(self.payload("c"))
+        assert [r["label"] for r in store.load()] == ["a", "b", "c"]
+
 
 class TestCanonicalView:
     """The byte-identity machinery distributed campaigns are checked against."""

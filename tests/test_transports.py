@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.costs import MiB, cfd_workload, lammps_workload
+from repro.cluster.network import Network
 from repro.transports import (
     DecafTransport,
     FlexpathTransport,
@@ -16,6 +17,7 @@ from repro.transports import (
 from repro.transports.registry import canonical_name
 from repro.transports.staging import StagingLockService
 from repro.workflow import WorkflowConfig, run_pipeline
+from repro.workflow.runner import PipelineRunner
 
 
 class TestRegistry:
@@ -175,6 +177,84 @@ class TestTransportBehaviour:
         result = quick_results["zipper"]
         # 8 modelled ranks x 5 steps x 16 blocks (16 MiB output / 1 MiB blocks)
         assert result.stats.get("blocks_produced") == 8 * 5 * 16
+
+
+#: Figure 2's staging cases at 3 steps and 4 representative simulation ranks
+#: (two analysis ranks of two producers each), run as configured (not
+#: reseeded): end-to-end time, events and lock-service requests, as recorded
+#: when DataSpaces and DIMES still had separate implementations.
+STAGING_PINS = {
+    "dataspaces": (
+        2.1425987909120003, 493, {"lock": 18, "unlock": 18, "read-poll": 6}
+    ),
+    "adios+dataspaces": (
+        2.5476189333247974, 539, {"lock": 18, "unlock": 18, "read-poll": 6}
+    ),
+    "dimes": (
+        1.5602777043328, 493, {"lock": 18, "metadata": 12, "read-poll": 6, "unlock": 6}
+    ),
+    "adios+dimes": (
+        1.8059626059391996, 539, {"lock": 18, "metadata": 12, "read-poll": 6, "unlock": 6}
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def staging_configs():
+    from repro.bench.experiments import figure2_spec
+
+    cases = figure2_spec(steps=3, representative_sim_ranks=4).cases()
+    return {case.label: case.config for case in cases if case.label in STAGING_PINS}
+
+
+class TestStagingPins:
+    """The four staging names share one protocol; their results stay put."""
+
+    @pytest.mark.parametrize("name", list(STAGING_PINS))
+    def test_results_match_the_recorded_pins(self, name, staging_configs):
+        end_to_end, events, requests = STAGING_PINS[name]
+        result = PipelineRunner(staging_configs[name].to_pipeline()).run()
+        assert result.end_to_end_time == end_to_end
+        assert result.stats["events_processed"] == events
+        # 4 producers x 3 steps x 16 MiB, each counted once.
+        assert result.stats["bytes_network"] == 4 * 3 * 16 * MiB == 201_326_592
+        counted = {
+            key[: -len("_requests")]: value
+            for key, value in result.stats.items()
+            if key.endswith("_requests")
+        }
+        assert counted == requests
+
+    @pytest.mark.parametrize(
+        "name,put_release,bytes_before_pulls",
+        [
+            ("dataspaces", "unlock", 4 * 16 * MiB),
+            ("adios+dataspaces", "unlock", 4 * 16 * MiB),
+            ("dimes", "metadata", 0),
+            ("adios+dimes", "metadata", 0),
+        ],
+    )
+    def test_bytes_network_counts_the_hop_off_the_producer_node(
+        self, name, put_release, bytes_before_pulls, staging_configs, monkeypatch
+    ):
+        """DataSpaces counts at the put (to a server); DIMES at each pull."""
+        runner = PipelineRunner(staging_configs[name].to_pipeline())
+        stats = runner.ctx.couplings[0].stats
+        at_first_pull = []
+        real_transfer = Network.transfer
+
+        def spy(self, *args, **kwargs):
+            if str(kwargs.get("flow", "")).endswith("-get") and not at_first_pull:
+                at_first_pull.append(dict(stats))
+            return real_transfer(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "transfer", spy)
+        runner.run()
+        [seen] = at_first_pull
+        # Every producer's first put ended (with its release request) ...
+        assert seen[f"{put_release}_requests"] == 4
+        # ... and no pull has started yet.
+        assert seen.get("bytes_network", 0.0) == bytes_before_pulls
 
 
 class TestDecafIntegerOverflow:
