@@ -165,11 +165,14 @@ def _work(args: argparse.Namespace) -> int:
 
 
 def _status(args: argparse.Namespace) -> int:
+    client = CoordinatorClient(args.url)
     try:
-        snapshot = CoordinatorClient(args.url).status()
+        snapshot = client.status()
     except CoordinatorUnreachable as exc:
         print(f"coordinator unreachable: {exc}", file=sys.stderr)
         return 3
+    finally:
+        client.close()
     if args.json:
         print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0

@@ -4,7 +4,8 @@ The coordinator owns two things: a :class:`~repro.campaign.lease.WorkBoard`
 (in-memory scheduling state) and the campaign's durable
 :class:`~repro.sweep.store.ResultStore`.  Workers interact with it only
 through the JSON endpoints of :mod:`repro.campaign.protocol`, served by a
-stdlib ``ThreadingHTTPServer`` — no third-party web framework.
+stdlib ``ThreadingHTTPServer`` — no third-party web framework.  The server
+speaks HTTP/1.1 keep-alive, so one thread serves each worker's connection.
 
 **Crash safety is store-shaped.**  Every accepted record is appended to the
 JSONL store before the worker gets its acknowledgement, and the board is
@@ -26,11 +27,12 @@ is what makes the canonical store byte-identical to a single-host sweep
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.campaign.lease import BackoffPolicy, WorkBoard
 from repro.campaign.protocol import PROTOCOL_VERSION, campaign_cases
@@ -231,6 +233,14 @@ class Campaign:
 class _CampaignHandler(BaseHTTPRequestHandler):
     """Routes the protocol endpoints onto a :class:`Campaign` (internal)."""
 
+    #: Keep-alive: a client sends all of its requests over one connection
+    #: (HTTP/1.0 clients and ``Connection: close`` still get one each).
+    protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY.  A response goes out in two writes (headers, then body);
+    #: with Nagle's algorithm the second waits for the client's delayed ACK,
+    #: about 40 ms per round trip on a kept-alive connection.
+    disable_nagle_algorithm = True
+
     #: Injected by :class:`CoordinatorServer`.
     campaign: Campaign
 
@@ -242,6 +252,8 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -267,6 +279,8 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except (ValueError, json.JSONDecodeError) as exc:
+            # The body may not have been read whole: drop the connection.
+            self.close_connection = True
             self._send({"error": f"bad request body: {exc}"}, status=400)
             return
         worker = str(body.get("worker", ""))
@@ -291,17 +305,49 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             self._send({"error": f"unknown endpoint {self.path!r}"}, status=404)
 
 
+class _KeepAliveServer(ThreadingHTTPServer):
+    """A threading HTTP server that can sever its open connections (internal)."""
+
+    def __init__(self, address: tuple, handler: type):
+        super().__init__(address, handler)
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        """Track the connection, then serve it on its own thread."""
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Forget the connection, then close it."""
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def sever_connections(self) -> None:
+        """Shut every open connection down, ending the threads serving them."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by the peer
+
+
 class CoordinatorServer:
     """A :class:`Campaign` behind a threading HTTP server.
 
     ``port=0`` binds an ephemeral port; read :attr:`url` after construction.
-    The server thread is a daemon, so a crashed driver never hangs on it.
+    The server thread and the connection threads are daemons, so a process
+    that never calls :meth:`stop` can still exit.
     """
 
     def __init__(self, campaign: Campaign, host: str = "127.0.0.1", port: int = 0):
         self.campaign = campaign
         handler = type("_BoundHandler", (_CampaignHandler,), {"campaign": campaign})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _KeepAliveServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -322,11 +368,17 @@ class CoordinatorServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
+        """Stop serving, sever open connections, release the socket (idempotent).
+
+        Clients see their kept-alive connection closed, as they would after
+        a coordinator crash, and reconnect to whichever coordinator serves
+        the port next.
+        """
         if self._thread is not None:
             self.httpd.shutdown()
             self._thread.join()
             self._thread = None
+        self.httpd.sever_connections()
         self.httpd.server_close()
 
     def __enter__(self) -> "CoordinatorServer":

@@ -1,7 +1,9 @@
 """Wire protocol shared by the campaign coordinator and its workers.
 
-Everything on the wire is JSON over HTTP (stdlib only: ``http.server`` on
-the coordinator, ``urllib.request`` here).  Configurations never travel:
+Everything on the wire is JSON over HTTP/1.1 (stdlib only: ``http.server``
+on the coordinator, ``http.client`` here).  Each :class:`CoordinatorClient`
+keeps one persistent connection, so a worker's requests share one TCP
+connection and one coordinator thread.  Configurations never travel:
 a campaign is identified by a small **spec descriptor** — the figure name
 plus the CLI downsizing knobs — and both sides expand it independently
 through :func:`repro.sweep.cli.build_spec` and prepare it with
@@ -25,9 +27,10 @@ Endpoints (all responses are JSON bodies with HTTP 200):
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -130,66 +133,87 @@ class CoordinatorUnreachable(RuntimeError):
     """The coordinator did not answer (down, restarting, or unreachable)."""
 
 
-def request_json(
-    url: str, payload: Optional[Dict[str, object]] = None, timeout: float = 10.0
-) -> Dict[str, object]:
-    """One JSON round trip: GET (``payload=None``) or POST ``payload``.
-
-    Transport-level failures raise :class:`CoordinatorUnreachable` (callers
-    retry those — the coordinator may simply be restarting); an HTTP error
-    status or a non-object body raises ``RuntimeError`` (a protocol bug, not
-    worth retrying).
-    """
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-    except urllib.error.HTTPError as exc:
-        raise RuntimeError(f"{url}: HTTP {exc.code} {exc.reason}") from exc
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-        raise CoordinatorUnreachable(f"{url}: {exc}") from exc
-    decoded = json.loads(body.decode("utf-8"))
-    if not isinstance(decoded, dict):
-        raise RuntimeError(f"{url}: expected a JSON object, got {type(decoded).__name__}")
-    return decoded
-
-
 class CoordinatorClient:
-    """Typed JSON client for the coordinator's endpoints."""
+    """Typed JSON client for the coordinator's endpoints.
+
+    Requests travel over one persistent HTTP/1.1 connection, opened by the
+    first request and shared under a lock by every thread that uses the
+    client (a worker's main loop and its heartbeat pump).  A transport
+    error closes the connection and raises :class:`CoordinatorUnreachable`;
+    the next request opens a new one, so a caller that retries rides out a
+    coordinator restart.  An HTTP status other than 200 or a body that is
+    not a JSON object raises ``RuntimeError`` (a protocol bug, not worth
+    retrying).
+    """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"coordinator URL must be http://host[:port], got {base_url!r}")
+        self._address = (parts.hostname, parts.port or 80)
+        self._prefix = parts.path
+        self._lock = threading.Lock()
+        self._connection: Optional[http.client.HTTPConnection] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CoordinatorClient {self.base_url!r}>"
 
+    def close(self) -> None:
+        """Close the connection (idempotent); a later request opens a new one."""
+        with self._lock:
+            self._disconnect()
+
+    def _disconnect(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    def _request(
+        self, path: str, payload: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
+        """One JSON round trip: GET (``payload=None``) or POST ``payload``."""
+        url = self.base_url + path
+        method, body, headers = "GET", None, {}
+        if payload is not None:
+            method = "POST"
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        with self._lock:
+            if self._connection is None:
+                self._connection = http.client.HTTPConnection(
+                    *self._address, timeout=self.timeout
+                )
+            try:
+                self._connection.request(method, self._prefix + path, body, headers)
+                response = self._connection.getresponse()
+                raw = response.read()
+            except (http.client.HTTPException, OSError) as exc:
+                self._disconnect()
+                raise CoordinatorUnreachable(f"{url}: {exc}") from exc
+        if response.status != 200:
+            raise RuntimeError(f"{url}: HTTP {response.status} {response.reason}")
+        decoded = json.loads(raw.decode("utf-8"))
+        if not isinstance(decoded, dict):
+            raise RuntimeError(f"{url}: expected a JSON object, got {type(decoded).__name__}")
+        return decoded
+
     def spec(self) -> Dict[str, object]:
         """The campaign's descriptor and execution knobs."""
-        return request_json(f"{self.base_url}/spec", timeout=self.timeout)
+        return self._request("/spec")
 
     def status(self) -> Dict[str, object]:
         """The coordinator's live status snapshot."""
-        return request_json(f"{self.base_url}/status", timeout=self.timeout)
+        return self._request("/status")
 
     def lease(self, worker: str) -> Dict[str, object]:
         """Request the next shard lease for ``worker``."""
-        return request_json(
-            f"{self.base_url}/lease", {"worker": worker}, timeout=self.timeout
-        )
+        return self._request("/lease", {"worker": worker})
 
     def heartbeat(self, worker: str, lease_id: str) -> Dict[str, object]:
         """Keep a lease alive; ``{"ok": false}`` means it was reclaimed."""
-        return request_json(
-            f"{self.base_url}/heartbeat",
-            {"worker": worker, "lease_id": lease_id},
-            timeout=self.timeout,
-        )
+        return self._request("/heartbeat", {"worker": worker, "lease_id": lease_id})
 
     def results(
         self,
@@ -199,8 +223,7 @@ class CoordinatorClient:
         done: bool = False,
     ) -> Dict[str, object]:
         """Stream a batch of record payloads back; ``done`` retires the lease."""
-        return request_json(
-            f"{self.base_url}/results",
+        return self._request(
+            "/results",
             {"worker": worker, "lease_id": lease_id, "records": records, "done": done},
-            timeout=self.timeout,
         )

@@ -16,8 +16,9 @@ Robustness behaviours:
   so the rest of the shard is abandoned rather than raced redundantly.
 * **Coordinator outages** — every call retries
   :class:`~repro.campaign.protocol.CoordinatorUnreachable` with capped
-  backoff for up to ``give_up_seconds``; a coordinator restart is therefore
-  invisible to workers apart from the pause.
+  backoff for up to ``give_up_seconds``, reconnecting on each try; a
+  coordinator restart is therefore invisible to workers apart from the
+  pause.
 * **Spec drift** — each leased case's ``(label, config_hash)`` is checked
   against the locally expanded grid; any mismatch (version skew between
   hosts) aborts the worker loudly before it can pollute the store.
@@ -143,8 +144,22 @@ class CampaignWorker:
         """Work the campaign until it completes; returns lifetime counters.
 
         Raises :class:`CoordinatorUnreachable` if the coordinator stays down
-        past ``give_up_seconds``, and ``RuntimeError`` on spec drift.
+        past ``give_up_seconds``, and ``RuntimeError`` on spec drift.  The
+        client's connection is closed on the way out either way.
         """
+        try:
+            self._work()
+        finally:
+            self.client.close()
+        return {
+            "cases_run": self.cases_run,
+            "cases_failed": self.cases_failed,
+            "records_sent": self.records_sent,
+            "leases_taken": self.leases_taken,
+        }
+
+    def _work(self) -> None:
+        """Lease, run and report shards until the campaign completes or stops."""
         spec = self._call(self.client.spec)
         descriptor = spec.get("descriptor")
         if not isinstance(descriptor, dict):
@@ -232,10 +247,3 @@ class CampaignWorker:
                     )
                 except CoordinatorUnreachable:
                     pass
-
-        return {
-            "cases_run": self.cases_run,
-            "cases_failed": self.cases_failed,
-            "records_sent": self.records_sent,
-            "leases_taken": self.leases_taken,
-        }

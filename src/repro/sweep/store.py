@@ -51,6 +51,24 @@ def _signature(path: Path) -> Optional[Signature]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
+def _append_text(path: Path, text: str) -> int:
+    """Append ``text`` to the file in one open; returns the bytes written.
+
+    A file that ends in a half-written line (a crash artefact) first gets a
+    newline: appending straight after the torn line would concatenate the
+    new record onto it and corrupt both, while the newline turns the torn
+    tail into an ignorable corrupt line.
+    """
+    data = text.encode("utf-8")
+    with path.open("a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                data = b"\n" + data
+        fh.write(data)
+    return len(data)
+
+
 def _index_record(index: Dict[Key, Dict[str, object]], record: Dict[str, object]) -> None:
     """File ``record`` under its resume key unless it crashed (a re-run retries it)."""
     if record.get("ok", True):
@@ -299,31 +317,15 @@ class ResultStore:
         return appended
 
     # -- writing -----------------------------------------------------------
-    def _torn_tail(self) -> bool:
-        """Whether the file ends in a half-written line (a crash artefact).
-
-        Appending straight after a torn line would concatenate the new
-        record onto it and corrupt both; writers heal the file with one
-        newline first, turning the torn tail into an ignorable corrupt line.
-        """
-        try:
-            with self.path.open("rb") as fh:
-                fh.seek(-1, 2)
-                return fh.read(1) != b"\n"
-        except (OSError, ValueError):
-            return False
-
     def append(self, record: Dict[str, object]) -> None:
         """Append one already-flattened record as a single JSON line.
 
-        Opens, writes and flushes per call — maximally crash-safe but slow
-        for high-rate producers; batch writers should use :meth:`batch`.
+        Opens, writes and closes the file per call (healing a torn tail
+        first) — maximally crash-safe but slow for high-rate producers;
+        batch writers should use :meth:`batch`.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        healing = "\n" if self._torn_tail() else ""
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(healing + json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
+        _append_text(self.path, json.dumps(record, sort_keys=True) + "\n")
 
     def batch(self, flush_every: int = 16) -> "BatchWriter":
         """A buffered appender that writes ``flush_every`` records per open.
@@ -342,11 +344,10 @@ class BatchWriter:
 
     The JSONL contract is unchanged: one self-contained record per line,
     append-only.  What changes is the write path — records are buffered and
-    every ``flush_every`` of them go out in one ``open("a")`` and write
-    instead of one per record.  No file handle is held between flushes, so
-    a store file that a quarantine rewrote meanwhile receives the later
-    lines; like :meth:`ResultStore.append`, each flush first heals a torn
-    tail.
+    every ``flush_every`` of them go out in one open and write instead of
+    one per record.  No file handle is held between flushes, so a store
+    file that a quarantine rewrote meanwhile receives the later lines; like
+    :meth:`ResultStore.append`, each flush first heals a torn tail.
 
     When the store's resume index matched the file as the writer opened, the
     writer parses each completed record it writes and adds it to the index
@@ -397,14 +398,10 @@ class BatchWriter:
         """Append the buffered records to the file, healing a torn tail first."""
         if not self._pending:
             return
-        store = self.store
-        text = ("\n" if store._torn_tail() else "") + "".join(self._pending)
-        with store.path.open("a", encoding="utf-8") as fh:
-            fh.write(text)
+        written = _append_text(self.store.path, "".join(self._pending))
         self._pending.clear()
-        # json.dumps escapes non-ASCII, so characters are bytes.
         dev, ino, size = self._expect
-        self._expect = (dev, ino, size + len(text))
+        self._expect = (dev, ino, size + written)
 
     def close(self) -> None:
         """Flush, then settle the index (idempotent)."""

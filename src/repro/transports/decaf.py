@@ -97,13 +97,12 @@ class DecafTransport(Transport):
         }
         self._delivery = {arank: Store(env) for arank in range(ctx.analysis_ranks)}
         self._link_inbox = {}
-        if ctx.staging_ranks > 0:
-            for link in range(ctx.staging_ranks):
-                self._link_inbox[link] = Store(env)
-                env.process(self._link_process(ctx, link))
+        for link in range(ctx.staging_ranks):
+            self._link_inbox[link] = Store(env)
+            env.process(self._link_process(ctx, link))
 
     def _link_of(self, ctx, rank: int) -> int:
-        return rank % max(1, ctx.staging_ranks)
+        return rank % ctx.staging_ranks
 
     # -- producer ----------------------------------------------------------------
     def producer_put(self, ctx, rank: int, step: int, nbytes: int) -> Generator:

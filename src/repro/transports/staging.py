@@ -51,7 +51,7 @@ class StagingLockService:
         self.request_bytes = request_bytes
 
     def _clients_per_server(self, ctx) -> float:
-        servers = max(1, ctx.staging_ranks) * ctx.rank_scale_factor
+        servers = ctx.staging_ranks * ctx.rank_scale_factor
         clients = ctx.total_sim_ranks + ctx.total_analysis_ranks
         return clients / servers
 
@@ -63,7 +63,7 @@ class StagingLockService:
         the centralised service that the paper lists among the performance
         inefficiencies.
         """
-        server_node = ctx.staging_node(0) if ctx.staging_ranks else node
+        server_node = ctx.staging_node(0)
         # Request to the server and response back.
         yield from ctx.cluster.network.transfer(
             node, server_node, self.request_bytes, flow=f"staging-{kind}"

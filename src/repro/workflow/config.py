@@ -65,7 +65,8 @@ class WorkflowConfig:
     deterministic: bool = True
     seed: int = 1
     #: Number of staging ranks per 8 simulation ranks (DataSpaces/DIMES servers,
-    #: Decaf link processes); transports that need none ignore it.
+    #: Decaf link processes); transports that need none ignore it, and those
+    #: that need them reject 0.
     staging_ranks_per_8_sim: int = 1
     #: Free-form label carried into results.
     label: str = ""
@@ -99,6 +100,10 @@ class WorkflowConfig:
             raise ValueError("steps must be positive")
         if self.staging_ranks_per_8_sim < 0:
             raise ValueError("staging_ranks_per_8_sim must be non-negative")
+        if self.staging_ranks_per_8_sim == 0:
+            # The pipeline rejects a staging transport with no staging ranks;
+            # build it now, so the error comes here and not at run time.
+            self.to_pipeline()
 
     # -- derived job sizes -------------------------------------------------
     @property

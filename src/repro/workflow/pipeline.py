@@ -141,7 +141,8 @@ class CouplingSpec:
     producer_buffer_blocks: Optional[int] = None
     high_water_mark: Optional[int] = None
     #: Staging/link ranks allocated per 8 source ranks (DataSpaces/DIMES
-    #: servers, Decaf links); ``None`` inherits the pipeline default.
+    #: servers, Decaf links); ``None`` inherits the pipeline default.  A
+    #: transport that needs staging ranks rejects 0.
     staging_ranks_per_8: Optional[int] = None
     #: Whether an elastic controller may lease this coupling's bandwidth
     #: (lend it when idle, borrow for it when starved).
@@ -267,11 +268,16 @@ class PipelineSpec:
                 raise ValueError(f"duplicate coupling {coupling.name!r}")
             seen_edges.add(edge)
             try:
-                transport_class(coupling.transport)
+                transport = transport_class(coupling.transport)
             except KeyError as exc:
                 raise ValueError(
                     f"coupling {coupling.name!r}: {exc.args[0]}"
                 ) from None
+            if transport.uses_staging_ranks and self.coupling_staging_per_8(coupling) == 0:
+                raise ValueError(
+                    f"coupling {coupling.name!r}: transport {coupling.transport!r} "
+                    "needs staging ranks, but its staging_ranks_per_8 is 0"
+                )
 
         # Kahn's algorithm: any remaining edge after peeling means a cycle.
         indegree = {name: 0 for name in names}

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
+import sys
 import threading
+import urllib.request
 
 import pytest
 
@@ -405,6 +410,131 @@ class TestCampaignEndToEnd:
             with pytest.raises(RuntimeError, match="spec drift"):
                 CampaignWorker(server.url, name="drifted").run()
         assert store.load() == []
+
+
+def _spy_accepts(monkeypatch, server):
+    """Record each connection the coordinator accepts from now on."""
+    accepted = []
+    real = server.httpd.process_request
+
+    def spy(request, client_address):
+        accepted.append(request)
+        real(request, client_address)
+
+    monkeypatch.setattr(server.httpd, "process_request", spy)
+    return accepted
+
+
+class TestConnection:
+    """Each client keeps one HTTP/1.1 connection to the coordinator."""
+
+    def test_a_worker_makes_every_request_on_one_connection(self, tmp_path, monkeypatch):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=2)
+        with CoordinatorServer(campaign) as server:
+            accepted = _spy_accepts(monkeypatch, server)
+            stats = CampaignWorker(server.url, name="solo").run()
+        assert stats["leases_taken"] == 5 and stats["cases_run"] == 9
+        assert len(accepted) == 1
+
+    def test_the_coordinator_turns_nagle_off(self, tmp_path, monkeypatch):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl")
+        with CoordinatorServer(campaign) as server:
+            accepted = _spy_accepts(monkeypatch, server)
+            client = CoordinatorClient(server.url)
+            try:
+                client.status()
+                [connection] = accepted
+                assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                client.close()
+
+    def test_threads_share_one_client(self, tmp_path, monkeypatch):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=2)
+        lease_id = campaign.handle_lease("stress")["lease_id"]
+        beats = []
+        real_heartbeat = campaign.handle_heartbeat
+
+        def counted(worker, lease):
+            beats.append(worker)
+            return real_heartbeat(worker, lease)
+
+        campaign.handle_heartbeat = counted
+        answers = []
+        with CoordinatorServer(campaign) as server:
+            accepted = _spy_accepts(monkeypatch, server)
+            client = CoordinatorClient(server.url)
+
+            def beat(name):
+                for _ in range(50):
+                    answers.append(client.heartbeat(name, lease_id))
+
+            # More threads than a small host has cores, switching as often
+            # as the interpreter allows, all on one connection.
+            threads = [
+                threading.Thread(target=beat, args=(f"t{i}",), daemon=True) for i in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+                client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [{"ok": True}] * 200
+        assert len(beats) == 200
+        assert len(accepted) == 1
+
+    def test_a_restarted_coordinator_costs_one_retry(self, tmp_path):
+        store = tmp_path / "c.jsonl"
+        server = CoordinatorServer(Campaign(_tiny_descriptor(), store)).start()
+        port = server.httpd.server_address[1]
+        worker = CampaignWorker(server.url, name="w", give_up_seconds=5.0)
+        calls = []
+
+        def status():
+            calls.append(len(calls))
+            return worker.client.status()
+
+        try:
+            assert worker._call(status)["counts"]["total"] == 9
+            server.stop()
+            with CoordinatorServer(Campaign(_tiny_descriptor(), store), port=port):
+                assert worker._call(status)["counts"]["total"] == 9
+        finally:
+            worker.client.close()
+            server.stop()
+        # The severed connection fails once; the retry reconnects.
+        assert calls == [0, 1, 2]
+
+    def test_a_one_shot_client_still_works(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl")
+        with CoordinatorServer(campaign) as server:
+            # urllib asks for ``Connection: close`` and gets it.
+            with urllib.request.urlopen(server.url + "/status", timeout=10) as response:
+                assert response.headers["Connection"] == "close"
+                assert json.loads(response.read())["counts"]["total"] == 9
+
+    def test_a_bad_body_closes_the_connection(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl")
+        with CoordinatorServer(campaign) as server:
+            connection = http.client.HTTPConnection(*server.httpd.server_address[:2])
+            try:
+                # The server cannot tell where this body ends.
+                connection.request("POST", "/lease", b"{}", {"Content-Length": "x"})
+                response = connection.getresponse()
+                response.read()
+            finally:
+                connection.close()
+        assert response.status == 400
+        assert response.headers["Connection"] == "close"
+
+    def test_only_http_urls_are_accepted(self):
+        with pytest.raises(ValueError, match="http://host"):
+            CoordinatorClient("127.0.0.1:8765")
 
 
 class TestCampaignCLI:

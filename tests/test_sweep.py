@@ -406,6 +406,33 @@ class TestBatchWriter:
         writer.close()
         assert len(store.load()) == 10
 
+    def test_a_flush_and_an_append_each_open_the_file_once(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+
+        store = ResultStore(tmp_path / "batch.jsonl")
+        first, second, third = self.payloads(3)
+        store.append(first)
+        with store.path.open("a") as fh:
+            fh.write('{"label": "torn", "config_')
+        opened = []
+        real_open = io.open
+
+        def spy(file, *args, **kwargs):
+            if str(file) == str(store.path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", spy)
+        monkeypatch.setattr(builtins, "open", spy)
+        with store.batch(flush_every=1) as writer:
+            writer.append(second)
+            assert len(opened) == 1
+        store.append(third)
+        assert len(opened) == 2
+        # The flush healed the torn tail first.
+        assert [r["label"] for r in store.load()] == ["case-0", "case-1", "case-2"]
+
     def test_resume_after_mid_batch_crash_reruns_only_the_lost_tail(self, tmp_path):
         """The satellite invariant: (label, config-hash) resume survives a crash."""
         store_path = tmp_path / "sweep.jsonl"

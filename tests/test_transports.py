@@ -200,20 +200,20 @@ STAGING_PINS = {
 
 
 @pytest.fixture(scope="module")
-def staging_configs():
+def figure2_configs():
     from repro.bench.experiments import figure2_spec
 
     cases = figure2_spec(steps=3, representative_sim_ranks=4).cases()
-    return {case.label: case.config for case in cases if case.label in STAGING_PINS}
+    return {case.label: case.config for case in cases}
 
 
 class TestStagingPins:
     """The four staging names share one protocol; their results stay put."""
 
     @pytest.mark.parametrize("name", list(STAGING_PINS))
-    def test_results_match_the_recorded_pins(self, name, staging_configs):
+    def test_results_match_the_recorded_pins(self, name, figure2_configs):
         end_to_end, events, requests = STAGING_PINS[name]
-        result = PipelineRunner(staging_configs[name].to_pipeline()).run()
+        result = PipelineRunner(figure2_configs[name].to_pipeline()).run()
         assert result.end_to_end_time == end_to_end
         assert result.stats["events_processed"] == events
         # 4 producers x 3 steps x 16 MiB, each counted once.
@@ -235,10 +235,10 @@ class TestStagingPins:
         ],
     )
     def test_bytes_network_counts_the_hop_off_the_producer_node(
-        self, name, put_release, bytes_before_pulls, staging_configs, monkeypatch
+        self, name, put_release, bytes_before_pulls, figure2_configs, monkeypatch
     ):
         """DataSpaces counts at the put (to a server); DIMES at each pull."""
-        runner = PipelineRunner(staging_configs[name].to_pipeline())
+        runner = PipelineRunner(figure2_configs[name].to_pipeline())
         stats = runner.ctx.couplings[0].stats
         at_first_pull = []
         real_transfer = Network.transfer
@@ -255,6 +255,50 @@ class TestStagingPins:
         assert seen[f"{put_release}_requests"] == 4
         # ... and no pull has started yet.
         assert seen.get("bytes_network", 0.0) == bytes_before_pulls
+
+
+#: The figure 2 transports that need dedicated staging ranks.
+NEEDS_STAGING = ("dataspaces", "adios+dataspaces", "dimes", "adios+dimes", "decaf")
+
+
+class TestZeroStagingRanks:
+    """A transport that needs staging ranks refuses a coupling without any."""
+
+    def test_the_staging_names_are_the_ones_that_need_staging_ranks(self, figure2_configs):
+        from repro.transports.registry import transport_class
+
+        needs = {
+            label
+            for label, config in figure2_configs.items()
+            if transport_class(config.transport).uses_staging_ranks
+        }
+        assert needs == set(NEEDS_STAGING)
+
+    @pytest.mark.parametrize("name", NEEDS_STAGING)
+    def test_config_without_staging_ranks_is_rejected(self, name, figure2_configs):
+        with pytest.raises(ValueError, match="coupling 'simulation->analysis'.*staging ranks"):
+            figure2_configs[name].replace(staging_ranks_per_8_sim=0)
+
+    @pytest.mark.parametrize("name", NEEDS_STAGING)
+    def test_pipeline_without_staging_ranks_is_rejected(self, name, figure2_configs):
+        pipeline = figure2_configs[name].to_pipeline()
+        [coupling] = pipeline.couplings
+        with pytest.raises(ValueError, match="coupling 'simulation->analysis'.*staging ranks"):
+            pipeline.replace(couplings=(coupling.replace(staging_ranks_per_8=0),))
+        # The coupling's own setting is what counts, not the pipeline default.
+        with pytest.raises(ValueError, match="staging ranks"):
+            pipeline.replace(
+                staging_ranks_per_8_sim=0,
+                couplings=(coupling.replace(staging_ranks_per_8=None),),
+            )
+        pipeline.replace(staging_ranks_per_8_sim=0)
+
+    def test_the_others_run_without_staging_ranks(self, figure2_configs):
+        others = sorted(set(figure2_configs) - set(NEEDS_STAGING))
+        assert others == ["flexpath", "mpiio", "none", "zipper"]
+        for name in others:
+            config = figure2_configs[name].replace(staging_ranks_per_8_sim=0)
+            assert not run_pipeline(config.to_pipeline()).failed
 
 
 class TestDecafIntegerOverflow:
