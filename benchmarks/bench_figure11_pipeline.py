@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.bench import format_table
 from repro.bench.experiments import pipeline_chain
-from repro.core import pipeline_makespan, pipeline_schedule, sequential_makespan
+from repro.perfmodel import pipeline_makespan, pipeline_schedule, sequential_makespan
 from repro.workflow import run_pipeline
 
 STAGES = ("compute", "output", "input", "analysis")

@@ -15,7 +15,7 @@ from conftest import bench_data_mib, bench_workers
 
 from repro.bench import format_table
 from repro.bench.experiments import figure12_spec
-from repro.core import PerformanceModel, StageTimes
+from repro.perfmodel import PerformanceModel, StageTimes
 from repro.sweep import run_labelled
 
 MiB = 1024 * 1024

@@ -259,6 +259,8 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Dict[str, object]:
         length = int(self.headers.get("Content-Length", "0") or "0")
+        if length < 0:  # ``read(-1)`` would wait for the peer to hang up
+            raise ValueError(f"negative Content-Length {length}")
         raw = self.rfile.read(length) if length else b"{}"
         decoded = json.loads(raw.decode("utf-8"))
         if not isinstance(decoded, dict):

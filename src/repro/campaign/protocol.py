@@ -22,6 +22,13 @@ Endpoints (all responses are JSON bodies with HTTP 200):
 ``/heartbeat``  POST ``{worker, lease_id}`` -> ``{ok}`` (``false`` = abandon)
 ``/results`` POST    ``{worker, lease_id, records, done}`` -> merge ack
 ===========  ======  ====================================================
+
+A worker sends each record in its own ``/results`` request and sets
+``done`` on its shard's last record, which retires the lease once the
+record is merged.  The answer's ``complete`` field tells it when the
+campaign has nothing left to run, so it sends no ``/results`` request
+without a record and no ``/lease`` request once an answer said
+``complete``.  A ``done`` request with no records still retires a lease.
 """
 
 from __future__ import annotations
@@ -222,7 +229,11 @@ class CoordinatorClient:
         records: List[Dict[str, object]],
         done: bool = False,
     ) -> Dict[str, object]:
-        """Stream a batch of record payloads back; ``done`` retires the lease."""
+        """Send record payloads back; ``done`` retires the lease after the merge.
+
+        The answer's ``complete`` says whether every case of the campaign is
+        done or poisoned.
+        """
         return self._request(
             "/results",
             {"worker": worker, "lease_id": lease_id, "records": records, "done": done},

@@ -6,22 +6,26 @@ campaign's spec descriptor, expands the *same* prepared case list locally
 (see :func:`~repro.campaign.protocol.campaign_cases`), and then loops:
 lease a shard, execute its cases one by one, and stream each record back
 the moment it exists, so a worker killed mid-shard loses at most the case
-it was running.
+it was running.  Every ``/results`` request carries one case: the shard's
+last record goes with ``done``, which retires the lease, and the worker
+stops once an answer says the campaign is ``complete``.
 
 Robustness behaviours:
 
 * **Heartbeats** — a daemon pump extends the lease at a third of its
   deadline; a heartbeat answered ``ok=false`` means the coordinator
   reclaimed the shard (this worker straggled and someone stole the work),
-  so the rest of the shard is abandoned rather than raced redundantly.
+  so the rest of the shard is abandoned rather than raced redundantly, and
+  nothing more is sent for it.
 * **Coordinator outages** — every call retries
   :class:`~repro.campaign.protocol.CoordinatorUnreachable` with capped
   backoff for up to ``give_up_seconds``, reconnecting on each try; a
   coordinator restart is therefore invisible to workers apart from the
-  pause.
+  pause.  A record still undelivered after that raises.
 * **Spec drift** — each leased case's ``(label, config_hash)`` is checked
   against the locally expanded grid; any mismatch (version skew between
-  hosts) aborts the worker loudly before it can pollute the store.
+  hosts) aborts the worker loudly, mid-shard too, before it can pollute
+  the store.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 from typing import Callable, Dict, Optional
 
 from repro.campaign.protocol import CoordinatorClient, CoordinatorUnreachable, campaign_cases
@@ -66,17 +71,15 @@ class CampaignWorker:
         *,
         throttle_seconds: float = 0.0,
         give_up_seconds: float = 60.0,
-        request_timeout: float = 10.0,
         failure_hook: Optional[Callable[[str], None]] = None,
     ):
         if not give_up_seconds >= 0:  # NaN would retry a dead coordinator forever
             raise ValueError("give_up_seconds must be non-negative")
-        self.client = CoordinatorClient(url, timeout=request_timeout)
+        self.client = CoordinatorClient(url)
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.throttle_seconds = float(throttle_seconds)
         self.give_up_seconds = float(give_up_seconds)
         self.failure_hook = failure_hook
-        self._stop = threading.Event()
         #: Set by the heartbeat pump when the coordinator reclaimed our lease.
         self._abandoned = threading.Event()
         # Lifetime statistics, returned by :meth:`run`.
@@ -84,10 +87,6 @@ class CampaignWorker:
         self.cases_failed = 0
         self.records_sent = 0
         self.leases_taken = 0
-
-    def stop(self) -> None:
-        """Ask the worker loop to exit after the current case."""
-        self._stop.set()
 
     # -- transport with outage tolerance ------------------------------------
     def _call(self, call: Callable[[], Dict[str, object]]) -> Dict[str, object]:
@@ -104,9 +103,9 @@ class CampaignWorker:
             try:
                 return call()
             except CoordinatorUnreachable:
-                if waited >= self.give_up_seconds or self._stop.is_set():
+                if waited >= self.give_up_seconds:
                     raise
-                self._stop.wait(pause)
+                time.sleep(pause)
                 waited += pause
                 pause = min(2.0, pause * 2.0)
 
@@ -141,10 +140,13 @@ class CampaignWorker:
         return record.payload()
 
     def run(self) -> Dict[str, int]:
-        """Work the campaign until it completes; returns lifetime counters.
+        """Work the campaign until an answer says it is complete.
 
-        Raises :class:`CoordinatorUnreachable` if the coordinator stays down
-        past ``give_up_seconds``, and ``RuntimeError`` on spec drift.  The
+        Returns the lifetime counters.  A worker that finishes a shard
+        learns ``complete`` from its last ``/results`` answer; one with
+        nothing left to lease learns it from ``/lease``.  Raises
+        :class:`CoordinatorUnreachable` if the coordinator stays down past
+        ``give_up_seconds``, and ``RuntimeError`` on spec drift.  The
         client's connection is closed on the way out either way.
         """
         try:
@@ -159,7 +161,7 @@ class CampaignWorker:
         }
 
     def _work(self) -> None:
-        """Lease, run and report shards until the campaign completes or stops."""
+        """Lease, run and report shards until an answer says ``complete``."""
         spec = self._call(self.client.spec)
         descriptor = spec.get("descriptor")
         if not isinstance(descriptor, dict):
@@ -176,13 +178,13 @@ class CampaignWorker:
             case_timeout_seconds=float(timeout) if timeout is not None else None,
         )
 
-        while not self._stop.is_set():
+        while True:
             answer = self._call(lambda: self.client.lease(self.name))
             status = answer.get("status")
             if status == "complete":
-                break
+                return
             if status == "wait":
-                self._stop.wait(float(answer.get("retry_after", 0.5)))
+                time.sleep(float(answer.get("retry_after", 0.5)))
                 continue
             if status != "lease":
                 raise RuntimeError(f"unexpected /lease response: {answer!r}")
@@ -201,8 +203,8 @@ class CampaignWorker:
             )
             pump.start()
             try:
-                for leased in shard:
-                    if self._stop.is_set() or self._abandoned.is_set():
+                for position, leased in enumerate(shard, 1):
+                    if self._abandoned.is_set():
                         break
                     index = int(leased["index"])
                     if index < 0 or index >= len(cases):
@@ -223,27 +225,23 @@ class CampaignWorker:
                             "coordinator and worker disagree on the grid"
                         )
                     if self.throttle_seconds > 0:
-                        self._stop.wait(self.throttle_seconds)
-                        if self._stop.is_set() or self._abandoned.is_set():
+                        time.sleep(self.throttle_seconds)
+                        if self._abandoned.is_set():
                             break
                     payload = self._run_case(runner, case)
                     self.cases_run += 1
                     if not payload.get("ok", True):
                         self.cases_failed += 1
-                    self._call(
-                        lambda p=payload: self.client.results(self.name, lease_id, [p])
+                    # The shard's last record retires its lease.  An
+                    # abandoned shard sends nothing more: its lease is gone.
+                    done = position == len(shard)
+                    answer = self._call(
+                        lambda: self.client.results(self.name, lease_id, [payload], done)
                     )
                     self.records_sent += 1
             finally:
                 pump_done.set()
                 pump.join()
-                runner.close()
-            if not self._abandoned.is_set():
-                # Retire the lease explicitly; on outage the lease simply
-                # expires, which is equivalent (just slower).
-                try:
-                    self._call(
-                        lambda: self.client.results(self.name, lease_id, [], done=True)
-                    )
-                except CoordinatorUnreachable:
-                    pass
+            # The last record's answer, or the lease's if none was sent.
+            if answer.get("complete"):
+                return

@@ -20,7 +20,8 @@ together provide:
   later validation;
 * **an analytical performance model** —
   ``T_t2s = max(T_comp, T_transfer, T_analysis)`` (plus the store stage in
-  Preserve mode), used to validate the measured end-to-end times.
+  Preserve mode), used to validate the measured end-to-end times; it lives
+  in :mod:`repro.perfmodel.zipper` and is exported by :mod:`repro.perfmodel`.
 
 Two implementations share these abstractions:
 
@@ -41,13 +42,6 @@ from repro.core.stats import RuntimeStats
 from repro.core.producer import ProducerRuntime
 from repro.core.consumer import ConsumerRuntime
 from repro.core.zipper import Zipper, ZipperResult, zip_applications
-from repro.perfmodel.zipper import (
-    PerformanceModel,
-    StageTimes,
-    pipeline_makespan,
-    sequential_makespan,
-    pipeline_schedule,
-)
 
 __all__ = [
     "BlockId",
@@ -67,9 +61,4 @@ __all__ = [
     "Zipper",
     "ZipperResult",
     "zip_applications",
-    "PerformanceModel",
-    "StageTimes",
-    "pipeline_makespan",
-    "sequential_makespan",
-    "pipeline_schedule",
 ]

@@ -4,8 +4,7 @@ Two layers:
 
 * :mod:`repro.perfmodel.zipper` — the paper's Section 4.4 two-application
   estimator (``T_t2s = max(T_comp, T_transfer, T_analysis[, T_store])``) and
-  the Figure 11 makespan/schedule helpers (also exported by
-  :mod:`repro.core`);
+  the Figure 11 makespan/schedule helpers;
 * :mod:`repro.perfmodel.pipeline` — the generalization to arbitrary
   :class:`~repro.workflow.pipeline.PipelineSpec` stage graphs: per-stage
   throughput and per-coupling transfer time as a function of core split,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -165,9 +164,9 @@ def _execute_case(payload: Tuple[int, str, str, AnyConfig]) -> Tuple[int, SweepR
     return index, record
 
 
-def _execute_case_to_queue(payload: Tuple[int, str, str, AnyConfig], results) -> None:
-    """Child-process entry of the timeout path: run one case, ship the record."""
-    results.put(_execute_case(payload))
+def _execute_case_to_pipe(payload: Tuple[int, str, str, AnyConfig], sender) -> None:
+    """Child-process entry of the timed path: run one case, send its record."""
+    sender.send(_execute_case(payload)[1])
 
 
 def prepare_cases(
@@ -225,7 +224,6 @@ class SweepRunner:
         reseed: bool = True,
         trace: Optional[bool] = None,
         progress: Optional[ProgressCallback] = None,
-        mp_context: Optional[str] = None,
         case_timeout_seconds: Optional[float] = None,
     ):
         if workers is None:
@@ -241,7 +239,6 @@ class SweepRunner:
         self.reseed = reseed
         self.trace = trace
         self.progress = progress
-        self.mp_context = mp_context
         #: Records flushed to the store after this many buffered appends.
         self.store_flush_every = 16
         self._pool = None
@@ -260,12 +257,7 @@ class SweepRunner:
         if self._pool is not None and self._pool_size < desired:
             self.close()
         if self._pool is None:
-            ctx = (
-                multiprocessing.get_context(self.mp_context)
-                if self.mp_context
-                else multiprocessing.get_context()
-            )
-            self._pool = ctx.Pool(processes=desired)
+            self._pool = multiprocessing.Pool(processes=desired)
             self._pool_size = desired
         return self._pool
 
@@ -410,20 +402,25 @@ class SweepRunner:
     ) -> None:
         """Run cases in killable child processes under the per-case deadline.
 
-        Up to ``max(1, workers)`` children run at once, each executing one
-        case and shipping its record back over a queue.  A child that
-        outlives ``case_timeout_seconds`` is killed and recorded as a
-        ``timeout``; one that dies without reporting (OOM-killed, crashed
-        interpreter) is recorded as ``lost``.  Either way the slot is
-        replenished with the next pending case.
+        Up to ``max(1, workers)`` children run at once.  Each executes one
+        case and sends its record back over its own one-way pipe, and the
+        parent waits on the open pipes until the nearest deadline.  A pipe
+        that reads end-of-file instead of a record means its child died
+        without reporting (OOM-killed, crashed interpreter): the case is
+        recorded as ``lost``.  A child past ``case_timeout_seconds`` whose
+        pipe still holds no record is killed and the case recorded as a
+        ``timeout``.  Either way the slot is replenished with the next
+        pending case.
         """
-        ctx = multiprocessing.get_context(self.mp_context)
-        results = ctx.Queue()
+        # Imported here: only this path needs it, and every module loaded
+        # with the runner adds to the resident size of in-process runs.
+        from multiprocessing.connection import wait
+
         limit = max(1, self.workers)
         timeout = float(self.case_timeout_seconds or 0.0)
-        todo = list(pending)
-        # index -> (process, payload, deadline)
-        active: Dict[int, Tuple[object, Tuple[int, str, str, AnyConfig], float]] = {}
+        todo = pending[::-1]
+        # receiving end -> (process, payload, deadline)
+        active: Dict[object, Tuple[object, Tuple[int, str, str, AnyConfig], float]] = {}
 
         def _fail_record(payload, kind: str, message: str) -> SweepRecord:
             _index, label, digest, config = payload
@@ -437,91 +434,65 @@ class SweepRunner:
                 elapsed=timeout if kind == "timeout" else 0.0,
             )
 
-        def _drain() -> Dict[int, SweepRecord]:
-            drained: Dict[int, SweepRecord] = {}
-            while True:
-                try:
-                    index, record = results.get_nowait()
-                except queue_module.Empty:
-                    return drained
-                drained[index] = record
-
-        def _finish(index: int, record: SweepRecord) -> None:
-            proc, _payload, _deadline = active.pop(index)
+        def _finish(reader, record: SweepRecord) -> None:
+            proc, payload, _deadline = active.pop(reader)
             proc.join()
-            collect(index, record)
+            reader.close()
+            collect(payload[0], record)
+
+        def _receive(reader) -> None:
+            try:
+                record = reader.recv()
+            except EOFError:
+                proc, payload, _deadline = active[reader]
+                proc.join()
+                record = _fail_record(
+                    payload,
+                    "lost",
+                    f"lost: worker process died with exit code {proc.exitcode} "
+                    "before reporting a record",
+                )
+            _finish(reader, record)
 
         try:
             while todo or active:
                 # Replenish: keep `limit` children running while work remains.
                 while todo and len(active) < limit:
-                    payload = todo.pop(0)
-                    proc = ctx.Process(
-                        target=_execute_case_to_queue, args=(payload, results)
+                    payload = todo.pop()
+                    reader, sender = multiprocessing.Pipe(duplex=False)
+                    proc = multiprocessing.Process(
+                        target=_execute_case_to_pipe, args=(payload, sender), daemon=True
                     )
-                    proc.daemon = True
                     proc.start()
-                    active[payload[0]] = (proc, payload, time.monotonic() + timeout)
+                    sender.close()  # the child holds the only sending end
+                    active[reader] = (proc, payload, time.monotonic() + timeout)
 
-                # Block until a record arrives or the nearest deadline passes.
                 nearest = min(deadline for _, _, deadline in active.values())
-                wait = min(0.5, max(0.01, nearest - time.monotonic()))
-                try:
-                    index, record = results.get(True, wait)
-                    _finish(index, record)
-                    continue
-                except queue_module.Empty:
-                    pass
+                for reader in wait(list(active), max(0.0, nearest - time.monotonic())):
+                    _receive(reader)
 
                 now = time.monotonic()
-                drained: Dict[int, SweepRecord] = {}
-                for index in list(active):
-                    proc, payload, deadline = active[index]
-                    if now >= deadline:
-                        # A record racing the deadline through the queue
-                        # still wins; otherwise kill and record the timeout.
-                        drained.update(_drain())
-                        if index in drained:
-                            _finish(index, drained.pop(index))
-                            continue
-                        proc.kill()
-                        _finish(
-                            index,
-                            _fail_record(
-                                payload,
-                                "timeout",
-                                f"timeout: case exceeded {timeout:g}s and was killed",
-                            ),
-                        )
-                    elif proc.exitcode is not None:
-                        # The child exited; its record may still be in flight.
-                        drained.update(_drain())
-                        if index in drained:
-                            _finish(index, drained.pop(index))
-                        elif proc.exitcode != 0:
-                            _finish(
-                                index,
-                                _fail_record(
-                                    payload,
-                                    "lost",
-                                    "lost: worker process died with exit code "
-                                    f"{proc.exitcode} before reporting a record",
-                                ),
-                            )
-                        # A clean exit with no record yet means the record is
-                        # still flushing through the queue; the next loop turn
-                        # (bounded by the case deadline) picks it up.
-                for index, record in drained.items():
-                    if index in active:
-                        _finish(index, record)
+                for reader, (proc, payload, deadline) in list(active.items()):
+                    if now < deadline:
+                        continue
+                    if reader.poll():  # a record sent before the deadline wins
+                        _receive(reader)
+                        continue
+                    proc.kill()
+                    _finish(
+                        reader,
+                        _fail_record(
+                            payload,
+                            "timeout",
+                            f"timeout: case exceeded {timeout:g}s and was killed",
+                        ),
+                    )
         except BaseException:
-            for proc, _payload, _deadline in active.values():
+            for reader, (proc, _payload, _deadline) in active.items():
                 proc.kill()
                 proc.join()
+                reader.close()
             raise
-        finally:
-            results.close()
-            results.join_thread()
 
     def run_labelled(self, cases: Cases) -> Dict[str, WorkflowResult]:
         """Run the sweep and return ``{label: WorkflowResult}`` per executed case.

@@ -31,7 +31,6 @@ class MPIIOTransport(Transport):
         self,
         shared_file_penalty: float = 0.25,
         poll_interval: float = 0.05,
-        collective_sync: bool = True,
     ):
         if not 0 < shared_file_penalty <= 1:
             raise ValueError("shared_file_penalty must lie in (0, 1]")
@@ -41,7 +40,6 @@ class MPIIOTransport(Transport):
         #: achieves (extent-lock contention on the OSTs).
         self.shared_file_penalty = shared_file_penalty
         self.poll_interval = poll_interval
-        self.collective_sync = collective_sync
         self._steps_visible = 0
         self._writers_done_step = {}
 
@@ -54,10 +52,9 @@ class MPIIOTransport(Transport):
         env = ctx.env
         fs = ctx.cluster.filesystem
         node = ctx.sim_node(rank)
-        if self.collective_sync:
-            barrier_start = env.now
-            yield from ctx.sim_comm.barrier(rank)
-            ctx.sim_rank_stats[rank]["barrier_time"] += env.now - barrier_start
+        barrier_start = env.now
+        yield from ctx.sim_comm.barrier(rank)
+        ctx.sim_rank_stats[rank]["barrier_time"] += env.now - barrier_start
         # The N-to-1 shared-file penalty is applied by inflating the volume the
         # file system has to serve for this logical write.
         effective_bytes = int(nbytes / self.shared_file_penalty)
@@ -66,10 +63,9 @@ class MPIIOTransport(Transport):
         ctx.sim_rank_stats[rank]["io_write_time"] += env.now - io_start
         ctx.stats["bytes_file"] += nbytes
         ctx.record_sim(rank, "io_write", io_start, step=step)
-        if self.collective_sync:
-            barrier_start = env.now
-            yield from ctx.sim_comm.barrier(rank)
-            ctx.sim_rank_stats[rank]["barrier_time"] += env.now - barrier_start
+        barrier_start = env.now
+        yield from ctx.sim_comm.barrier(rank)
+        ctx.sim_rank_stats[rank]["barrier_time"] += env.now - barrier_start
         # Rank bookkeeping: once every writer finished step ``step`` the step
         # becomes visible to the readers (close + flush semantics).
         self._writers_done_step[rank] = step
@@ -88,8 +84,7 @@ class MPIIOTransport(Transport):
             while self._steps_visible <= step:
                 yield env.sleep(self.poll_interval)
             ctx.analysis_rank_stats[arank]["poll_time"] += env.now - poll_start
-            if self.collective_sync:
-                yield from ctx.analysis_comm.barrier(arank)
+            yield from ctx.analysis_comm.barrier(arank)
             read_start = env.now
             yield from fs.read(node, effective_bytes, rate_scale=ctx.bandwidth_share)
             ctx.analysis_rank_stats[arank]["io_read_time"] += env.now - read_start

@@ -18,7 +18,7 @@ simulator at the paper's scales:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator
 
 from repro.simcore import ConditionVar, OneShotSignal, Store
 from repro.transports.base import Transport
@@ -67,28 +67,10 @@ class ZipperTransport(Transport):
     multiple_failure_domains = True
     uses_staging_ranks = False
 
-    def __init__(
-        self,
-        concurrent_transfer: Optional[bool] = None,
-        preserve: Optional[bool] = None,
-    ):
-        #: ``None`` means "take the value from the coupling context".
-        self._concurrent_override = concurrent_transfer
-        self._preserve_override = preserve
+    def __init__(self) -> None:
         self._producers: Dict[int, _ProducerState] = {}
         self._consumers: Dict[int, _ConsumerState] = {}
         self._expected_blocks: Dict[int, int] = {}
-
-    # -- configuration -------------------------------------------------------
-    def _concurrent(self, ctx) -> bool:
-        if self._concurrent_override is not None:
-            return self._concurrent_override
-        return ctx.concurrent_transfer
-
-    def _preserve(self, ctx) -> bool:
-        if self._preserve_override is not None:
-            return self._preserve_override
-        return ctx.preserve
 
     # -- setup -----------------------------------------------------------------
     def setup(self, ctx) -> None:
@@ -98,13 +80,13 @@ class ZipperTransport(Transport):
             state = _ProducerState(env, capacity)
             self._producers[rank] = state
             env.process(self._sender_process(ctx, rank, state))
-            if self._concurrent(ctx):
+            if ctx.concurrent_transfer:
                 env.process(self._writer_process(ctx, rank, state))
         for arank in range(ctx.analysis_ranks):
             cstate = _ConsumerState(env)
             self._consumers[arank] = cstate
             env.process(self._reader_process(ctx, arank, cstate))
-            if self._preserve(ctx):
+            if ctx.preserve:
                 env.process(self._output_process(ctx, arank, cstate))
             else:
                 cstate.output_done.set()
@@ -249,7 +231,7 @@ class ZipperTransport(Transport):
     def consumer_run(self, ctx, arank: int, analyze: Callable[[int, int], Generator]) -> Generator:
         cstate = self._consumers[arank]
         expected = self._expected_blocks[arank]
-        preserve = self._preserve(ctx)
+        preserve = ctx.preserve
         analyzed = 0
         env = ctx.env
         rank_stats = ctx.analysis_rank_stats[arank]

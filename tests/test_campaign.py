@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import http.client
 import json
 import socket
@@ -425,6 +426,54 @@ def _spy_accepts(monkeypatch, server):
     return accepted
 
 
+def _spy_requests(monkeypatch, server):
+    """Count the requests the coordinator serves from now on, by path."""
+    served = collections.Counter()
+    handler = server.httpd.RequestHandlerClass
+    for verb in ("do_GET", "do_POST"):
+        real = getattr(handler, verb)
+
+        def spy(self, real=real):
+            served[self.path] += 1
+            real(self)
+
+        monkeypatch.setattr(handler, verb, spy)
+    return served
+
+
+class TestRequests:
+    """A worker sends one ``/spec``, one ``/lease`` per shard, one ``/results`` per case."""
+
+    def test_one_results_request_per_case_and_one_lease_per_shard(
+        self, tmp_path, monkeypatch
+    ):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=2)
+        with CoordinatorServer(campaign) as server:
+            served = _spy_requests(monkeypatch, server)
+            stats = CampaignWorker(server.url, name="solo").run()
+        assert stats == {
+            "cases_run": 9, "cases_failed": 0, "records_sent": 9, "leases_taken": 5,
+        }
+        # No /results request only retires a shard, and no /lease only
+        # learns ``complete``: the last record's answer says it.
+        assert served == {"/spec": 1, "/lease": 5, "/results": 9}
+        assert campaign.board.leases == {}
+        assert campaign.board.counts()["done"] == 9
+
+    def test_a_retire_request_without_records_still_releases_its_lease(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=2)
+        with CoordinatorServer(campaign) as server:
+            client = CoordinatorClient(server.url)
+            try:
+                lease_id = client.lease("older-worker")["lease_id"]
+                answer = client.results("older-worker", lease_id, [], done=True)
+            finally:
+                client.close()
+        assert answer == {"ok": True, "accepted": 0, "dropped": 0, "complete": False}
+        assert campaign.board.leases == {}
+        assert campaign.board.counts()["pending"] == 9
+
+
 class TestConnection:
     """Each client keeps one HTTP/1.1 connection to the coordinator."""
 
@@ -531,6 +580,23 @@ class TestConnection:
                 connection.close()
         assert response.status == 400
         assert response.headers["Connection"] == "close"
+
+    def test_a_negative_content_length_is_refused_at_once(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl")
+        with CoordinatorServer(campaign) as server:
+            # A timeout, not a hang, if the server waits for the peer to close.
+            connection = http.client.HTTPConnection(
+                *server.httpd.server_address[:2], timeout=3
+            )
+            try:
+                connection.request("POST", "/lease", b"{}", {"Content-Length": "-1"})
+                response = connection.getresponse()
+                response.read()
+            finally:
+                connection.close()
+        assert response.status == 400
+        assert response.headers["Connection"] == "close"
+        assert campaign.board.leases_issued == 0
 
     def test_only_http_urls_are_accepted(self):
         with pytest.raises(ValueError, match="http://host"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.perfmodel import (
     PerformanceModel,
     StageTimes,
     pipeline_makespan,

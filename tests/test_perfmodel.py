@@ -267,20 +267,7 @@ class TestInverseProblems:
 
 
 # -- where the Section 4.4 model is exported -----------------------------------
-class TestCompatibilityShim:
-    def test_core_perf_model_reexports_zipper_module(self):
-        import repro.core as core
-        import repro.perfmodel.zipper as zipper
-
-        for name in (
-            "PerformanceModel",
-            "StageTimes",
-            "pipeline_makespan",
-            "sequential_makespan",
-            "pipeline_schedule",
-        ):
-            assert getattr(core, name) is getattr(zipper, name)
-
+class TestPackageExports:
     def test_package_exports_both_layers(self):
         import repro.perfmodel as pm
 

@@ -303,7 +303,7 @@ class TestChainExecution:
     def test_transport_override_by_coupling_name(self, chain_pipeline):
         from repro.transports import ZipperTransport
 
-        override = ZipperTransport(concurrent_transfer=False)
+        override = ZipperTransport()
         runner = PipelineRunner(
             chain_pipeline, transports={"simulation->analysis": override}
         )
@@ -499,16 +499,16 @@ class TestExtrasRegression:
         )
         assert runner.transports["simulation->analysis"].poll_interval == 0.01
 
-    def test_extras_change_behaviour(self, small_synthetic_config):
-        base = small_synthetic_config.replace(trace=False)
+    def test_extras_change_behaviour(self, small_cfd_config):
+        base = small_cfd_config.replace(transport="mpiio", trace=False)
         default = run_pipeline(base.to_pipeline())
-        # Disable the concurrent-transfer optimisation through extras only:
-        # the config-level flag stays True, the constructor kwarg must win.
+        # A harsher N-to-1 shared-file penalty, set through extras only,
+        # makes the file system serve more bytes per step.
         via_extras = run_pipeline(
-            base.replace(extras={"concurrent_transfer": False}).to_pipeline()
+            base.replace(extras={"shared_file_penalty": 0.05}).to_pipeline()
         )
-        assert default.steal_fraction > 0
-        assert via_extras.steal_fraction == 0
+        assert not default.failed and not via_extras.failed
+        assert via_extras.end_to_end_time > default.end_to_end_time
 
     def test_unknown_extras_raise(self, small_cfd_config):
         with pytest.raises(TypeError):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -733,6 +735,28 @@ class TestCaseTimeout:
         assert "exit code 3" in records["dies"].error
         assert records["good"].ok
 
+    def test_a_record_sent_before_the_deadline_check_wins(self, monkeypatch):
+        import multiprocessing.connection
+
+        real_wait = multiprocessing.connection.wait
+        late = []
+
+        def late_wait(object_list, timeout=None):
+            # The first wait comes back empty-handed long after the 50 ms
+            # deadline, by when the child has sent its record and exited.
+            if not late:
+                late.append(timeout)
+                time.sleep(2.0)
+                return []
+            return real_wait(object_list, timeout)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", late_wait)
+        runner = SweepRunner(workers=0, trace=False, case_timeout_seconds=0.05)
+        [record] = runner.run([("late", small_config())])
+        assert late
+        assert record.ok and record.error_kind == ""
+        assert record.result is not None
+
     def test_timeout_path_matches_pool_results(self):
         cases = [(f"case-{i}", small_config(seed=i + 1)) for i in range(3)]
         plain = {r.label: r for r in SweepRunner(workers=0, trace=False).run(cases)}
@@ -777,6 +801,8 @@ class TestPoolInterruptCleanup:
         cases = [(f"case-{i}", small_config(seed=i + 1)) for i in range(4)]
         with pytest.raises(Interrupt):
             runner.run(cases)
+        # Every child was killed and joined, none left running or unreaped.
+        assert multiprocessing.active_children() == []
 
 
 class TestQuarantine:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.costs import MiB, cfd_workload, synthetic_workload
-from repro.core import PerformanceModel, StageTimes
+from repro.perfmodel import PerformanceModel, StageTimes
 from repro.workflow import (
     PipelineRunner,
     WorkflowConfig,
