@@ -8,7 +8,7 @@ almost equal to the time spent storing the results, since writing the full
 
 from __future__ import annotations
 
-from conftest import bench_data_mib, bench_workers
+from conftest import bench_data_mib, bench_workers, model_error, model_estimate
 
 from repro.bench import format_table
 from repro.bench.experiments import figure13_spec
@@ -18,15 +18,20 @@ MiB = 1024 * 1024
 
 
 def run_figure13(data_per_rank: int):
-    return run_labelled(figure13_spec(data_per_rank=data_per_rank), workers=bench_workers())
+    spec = figure13_spec(data_per_rank=data_per_rank)
+    results = run_labelled(spec, workers=bench_workers())
+    return {case.label: (case.config, results[case.label]) for case in spec.cases()}
 
 
 def test_figure13_preserve_breakdown(benchmark, report):
     data_per_rank = bench_data_mib() * MiB
-    results = benchmark.pedantic(run_figure13, args=(data_per_rank,), rounds=1, iterations=1)
+    configured = benchmark.pedantic(run_figure13, args=(data_per_rank,), rounds=1, iterations=1)
+    results = {label: result for label, (_cfg, result) in configured.items()}
 
     rows = []
-    for label, result in results.items():
+    errors = {}
+    for label, (cfg, result) in configured.items():
+        errors[label] = model_error(cfg, result)
         rows.append(
             [
                 label,
@@ -35,17 +40,22 @@ def test_figure13_preserve_breakdown(benchmark, report):
                 result.breakdown.store,
                 result.breakdown.analysis,
                 result.end_to_end_time,
+                model_estimate(cfg, result).time_to_solution(),
+                errors[label],
                 result.breakdown.dominant(),
             ]
         )
     report(
         format_table(
-            ["config", "sim (s)", "transfer (s)", "store (s)", "analysis (s)", "end-to-end (s)", "dominant"],
+            ["config", "sim (s)", "transfer (s)", "store (s)", "analysis (s)", "end-to-end (s)", "model (s)", "model rel. error", "dominant"],
             rows,
             title=f"Figure 13 (Preserve, {data_per_rank // MiB} MiB/rank): storing data dominates",
         )
     )
 
+    # The Section 4.4 model, store stage included, predicts the measured time.
+    worst = max(errors, key=lambda label: abs(errors[label]))
+    assert abs(errors[worst]) <= 0.20, (worst, errors[worst])
     # In Preserve mode the store stage dominates for the cheap producers and
     # every run persisted all of its blocks.
     for label, result in results.items():

@@ -17,9 +17,12 @@ the scenario grids out over that many worker processes.
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
+
+from repro.perfmodel import PerformanceModel, StageTimes
 
 MiB = 1024 * 1024
 
@@ -37,6 +40,39 @@ def bench_data_mib(default: int = 128) -> int:
 def bench_workers(default: int = 0) -> int:
     """Sweep-engine worker processes (0 = serial in-process)."""
     return int(os.environ.get("REPRO_BENCH_WORKERS", default))
+
+
+def model_estimate(cfg, result) -> PerformanceModel:
+    """The Section 4.4 model fed with the per-block stage times measured in the run.
+
+    ``result.breakdown`` holds per-rank stage times, so each is divided by
+    the blocks one rank handles (``nb / P`` on the simulation side, ``nb / Q``
+    for analysis), which the model multiplies back.
+    """
+    workload = cfg.workload
+    total_data = workload.output_bytes_per_step * workload.steps * cfg.sim_ranks
+    blocks = math.ceil(total_data / cfg.effective_block_bytes)
+    per_sim_rank = blocks / cfg.sim_ranks
+    breakdown = result.breakdown
+    return PerformanceModel(
+        P=cfg.sim_ranks,
+        Q=cfg.analysis_ranks,
+        total_data=total_data,
+        block_size=cfg.effective_block_bytes,
+        stage=StageTimes(
+            compute=breakdown.simulation / per_sim_rank,
+            transfer=breakdown.transfer / per_sim_rank,
+            analysis=breakdown.analysis / (blocks / cfg.analysis_ranks),
+            store=breakdown.store / per_sim_rank,
+        ),
+        preserve=cfg.preserve,
+    )
+
+
+def model_error(cfg, result) -> float:
+    """Relative error of :func:`model_estimate` against the measured end-to-end time."""
+    measured = result.end_to_end_time
+    return (model_estimate(cfg, result).time_to_solution() - measured) / measured
 
 
 @pytest.fixture(scope="session")

@@ -32,11 +32,6 @@ class Cluster:
         When ``True`` (the default) all jitter is disabled so results are
         exactly reproducible; benchmarks that want realistic variability pass
         ``False``.
-    pool_events:
-        Forwarded to :class:`Environment` when the cluster creates its own:
-        recycle Store/Release events through free lists (bit-identical; see
-        the F501 escape certificate in ``docs/static-analysis.md``).
-        Ignored when ``env`` is supplied.
     sanitize:
         Forwarded to :class:`Environment` when the cluster creates its own:
         arm the :mod:`repro.sanitize` determinism traps.  ``None`` defers to
@@ -51,7 +46,6 @@ class Cluster:
         env: Optional[Environment] = None,
         deterministic: bool = True,
         seed: Optional[int] = None,
-        pool_events: bool = False,
         sanitize: Optional[bool] = None,
     ):
         if num_nodes <= 0:
@@ -62,11 +56,7 @@ class Cluster:
                 f"requested {total_nodes or num_nodes}"
             )
         self.spec = spec
-        self.env = (
-            env
-            if env is not None
-            else Environment(pool_events=pool_events, sanitize=sanitize)
-        )
+        self.env = env if env is not None else Environment(sanitize=sanitize)
         self.num_nodes = num_nodes
         self.total_nodes = int(total_nodes) if total_nodes else num_nodes
         self.deterministic = deterministic

@@ -1,12 +1,12 @@
 """Rule F501: pooled event classes must not escape their dispatch.
 
-The engine recycles ``PooledTimeout``, ``StorePut``, ``StoreGet`` and
-``Release`` objects through per-class free lists (see
-``repro.simcore.engine.POOLED_EVENT_CLASSES``).  Recycling is only sound if
-no model code can observe an event after its callbacks ran: a reference
-stashed in an attribute, a container, a closure or a condition event would
-alias a recycled — and re-armed — object, silently corrupting an unrelated
-operation.
+The engine recycles ``PooledTimeout`` objects — the events
+``Environment.sleep`` and ``sleep_until`` hand out — through a free list
+(see ``repro.simcore.engine.POOLED_EVENT_CLASSES``).  Recycling is only
+sound if no model code can observe a pooled event after its callbacks ran:
+a reference stashed in an attribute, a container, a closure or a condition
+event would alias a recycled — and re-armed — object, silently corrupting
+an unrelated sleep.
 
 F501 is the static half of that contract (the runtime half is
 :mod:`repro.sanitize`'s use-after-recycle poisoning): every allocation site
@@ -32,7 +32,7 @@ __all__ = ["EventEscape", "POOLED_CLASSES"]
 #: The F501 certificate: classes the engine may recycle.  Must equal
 #: ``repro.simcore.engine.POOLED_EVENT_CLASSES`` — pinned by a meta-test so
 #: the certificate and the implementation cannot drift apart.
-POOLED_CLASSES: Tuple[str, ...] = ("PooledTimeout", "StorePut", "StoreGet", "Release")
+POOLED_CLASSES: Tuple[str, ...] = ("PooledTimeout",)
 
 
 @register
@@ -43,12 +43,12 @@ class EventEscape(ProjectRule):
     name = "pooled-event-escape"
     rationale = (
         "Event classes on the engine's free-list certificate (PooledTimeout, "
-        "StorePut, StoreGet, Release) are recycled after dispatch; any model "
-        "code that holds such an event past its consuming yield — in an "
-        "attribute, container, closure or condition — would alias a re-armed "
-        "object. Every allocation site of a pooled class must provably not "
-        "escape; sites the interprocedural escape analysis cannot bound are "
-        "findings."
+        "the event env.sleep and env.sleep_until return) are recycled after "
+        "dispatch; any model code that holds such an event past its consuming "
+        "yield — in an attribute, container, closure or condition — would "
+        "alias a re-armed object. Every allocation site of a pooled class "
+        "must provably not escape; sites the interprocedural escape analysis "
+        "cannot bound are findings."
     )
     scope = MODEL_PACKAGES
 

@@ -65,9 +65,7 @@ VERDICT_ORDER: Dict[str, int] = {
 
 #: Engine entry points that *consume* an event handed to them (the event ends
 #: its life inside the audited mechanism layer).
-_ENGINE_CONSUMERS = frozenset(
-    {"trigger_inplace", "complete", "schedule", "_recycle_consumed", "_recycle_release"}
-)
+_ENGINE_CONSUMERS = frozenset({"trigger_inplace", "complete", "schedule"})
 
 #: Calls that read a value without retaining it.
 _BENIGN_CALLS = frozenset(

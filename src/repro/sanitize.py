@@ -4,8 +4,8 @@ The static analyses in :mod:`repro.lint` prove determinism and event-pooling
 invariants where the dataflow lattice can see them; this module traps, *at
 run time*, the violations it cannot — an unseeded global :mod:`random` draw
 reached through a callback the call graph over-approximates, a wall-clock
-read behind an alias, a recycled event touched by a holder the escape
-analysis never saw.  It is the simulation analogue of AddressSanitizer:
+read behind an alias, a recycled sleep event touched by a holder the
+escape analysis never saw.  It is the simulation analogue of AddressSanitizer:
 cheap enough to run the CI smoke sweep under, precise enough that every trap
 names the violated contract.
 
@@ -18,12 +18,14 @@ whole run with ``REPRO_SANITIZE=1``; either way the kernel builds a
   *while a sanitized environment is executing an event* (instance-based
   :class:`~repro.simcore.rng.RandomStreams` generators are untouched — they
   are the sanctioned randomness);
-* **poisons** recyclable events instead of pooling them: its free lists are
-  :class:`PoisonList` objects, which stay empty, so every allocation is
-  fresh, and a processed event is marked failed with a
-  :class:`SanitizerTrap` carrying a bumped generation counter — any holder
-  that touches it after recycling has the trap thrown into its frame
-  instead of silently observing the event's next incarnation;
+* **poisons** the one recyclable event class, the
+  :class:`~repro.simcore.events.PooledTimeout` of ``env.sleep``, instead of
+  pooling it: its timeout free list is a :class:`PoisonList`, which stays
+  empty, so every sleep is a fresh allocation, and a processed one is
+  marked failed with a :class:`SanitizerTrap` carrying a bumped generation
+  counter — any holder that touches it after recycling has the trap thrown
+  into its frame instead of silently observing the event's next
+  incarnation;
 * validates :meth:`~repro.simcore.engine.Environment.credit_events` calls
   (positive integer counts, only while an event is executing) so a fast
   path cannot quietly corrupt the machine-independent event count;
@@ -225,9 +227,10 @@ def poison_event(event: Any) -> None:
 class PoisonList(List[Any]):
     """A free list that never pools: :meth:`append` poisons the event instead.
 
-    A :class:`~repro.simcore.engine.SanitizedEnvironment` holds its free
-    lists in these, so the kernel's own recycling code poisons every event
-    it would have pooled, and the list stays empty.
+    A :class:`~repro.simcore.engine.SanitizedEnvironment` holds its timeout
+    free list in one, so the kernel's own recycling code poisons every
+    :class:`~repro.simcore.events.PooledTimeout` it would have pooled, and
+    the list stays empty.
     """
 
     __slots__ = ()

@@ -18,7 +18,6 @@ from repro.simcore.events import (
     ProcessGenerator,
     Timeout,
 )
-from repro.simcore.resources import Release, StoreGet, StorePut
 
 __all__ = ["Environment", "SanitizedEnvironment", "EmptySchedule", "POOLED_EVENT_CLASSES"]
 
@@ -27,29 +26,12 @@ __all__ = ["Environment", "SanitizedEnvironment", "EmptySchedule", "POOLED_EVENT
 #: beyond it, extra events are simply left to the garbage collector.
 _TIMEOUT_POOL_LIMIT = 512
 
-#: Upper bound on each opt-in event free list (see ``pool_events``).
-_EVENT_POOL_LIMIT = 512
-
-#: Event classes the engine recycles.  ``PooledTimeout`` is always pooled
-#: (its contract is opt-in at the call site: only ``Environment.sleep`` /
-#: ``sleep_until`` hand one out); the other three are pooled only under
-#: ``Environment(pool_events=True)``, which the pipeline runner enables on
-#: the strength of the F501 escape-analysis certificate (``python -m
-#: repro.lint --flow-report``).  The lint meta-tests pin this tuple to the
-#: set of classes the analysis certifies.
-POOLED_EVENT_CLASSES: Tuple[str, ...] = (
-    "PooledTimeout",
-    "StorePut",
-    "StoreGet",
-    "Release",
-)
-
-#: Sentinel parked in a recycled event's ``_value`` slot while it sits on a
-#: free list.  Guards against double-recycling: an escaping holder that
-#: yields an already-recycled event again is skipped instead of inserting
-#: the same object into the pool twice (the sanitizer turns that same
-#: misuse into a hard trap).
-_RECYCLED = object()
+#: Event classes the engine recycles: only ``PooledTimeout``, whose contract
+#: is opt-in at the call site (only ``Environment.sleep`` / ``sleep_until``
+#: hand one out).  Every other event is a fresh allocation that its holder
+#: may keep.  The lint meta-tests pin this tuple to the F501 escape-analysis
+#: certificate (``python -m repro.lint --flow-report``).
+POOLED_EVENT_CLASSES: Tuple[str, ...] = ("PooledTimeout",)
 
 
 class EmptySchedule(Exception):
@@ -64,17 +46,6 @@ class Environment:
     initial_time:
         Starting value of the simulation clock (seconds by convention across
         this code base).
-    pool_events:
-        Recycle :class:`~repro.simcore.resources.StorePut` /
-        :class:`~repro.simcore.resources.StoreGet` /
-        :class:`~repro.simcore.resources.Release` events through per-class
-        free lists, exactly like the always-on :class:`PooledTimeout` pool.
-        Off by default because the *public* event semantics allow holding a
-        reference past processing; the pipeline runner turns it on
-        (``PipelineSpec.pool_events``) under the F501 escape-analysis
-        certificate that no model code does.  Bit-identical either way —
-        recycling changes which Python object carries an event, never the
-        event order or ``events_processed``.
     sanitize:
         Build a :class:`SanitizedEnvironment` instead, which runs the same
         kernel with the :mod:`repro.sanitize` determinism traps armed.
@@ -96,10 +67,6 @@ class Environment:
         "_events_processed",
         "_timeout_pool",
         "_solo_callback",
-        "_pool_events",
-        "_put_pool",
-        "_get_pool",
-        "_release_pool",
     )
 
     #: Whether the runtime determinism sanitizer is armed (see
@@ -110,7 +77,6 @@ class Environment:
         cls,
         initial_time: float = 0.0,
         *,
-        pool_events: bool = False,
         sanitize: Optional[bool] = None,
     ) -> "Environment":
         if cls is Environment and (
@@ -123,7 +89,6 @@ class Environment:
         self,
         initial_time: float = 0.0,
         *,
-        pool_events: bool = False,
         sanitize: Optional[bool] = None,
     ):
         # ``sanitize`` only chooses the class (see ``__new__``).
@@ -133,10 +98,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         self._events_processed = 0
         self._timeout_pool: List[PooledTimeout] = []
-        self._pool_events = bool(pool_events)
-        self._put_pool: List[StorePut] = []
-        self._get_pool: List[StoreGet] = []
-        self._release_pool: List[Release] = []
         # True while step() is executing the callback of an event that had
         # exactly one.  In that window, a freshly created event that (a) is
         # already triggered and (b) faces an empty same-time horizon (no
@@ -162,11 +123,6 @@ class Environment:
     def events_processed(self) -> int:
         """Total number of events processed so far (useful for model stats)."""
         return self._events_processed
-
-    @property
-    def pool_events(self) -> bool:
-        """Whether Store/Release events are recycled through free lists."""
-        return self._pool_events
 
     def __repr__(self) -> str:
         return (
@@ -333,74 +289,17 @@ class Environment:
         self._events_processed += 1
 
         if event._ok:
-            cls = type(event)
-            if cls is PooledTimeout:
+            if type(event) is PooledTimeout:
                 # Every waiter has been resumed (inside the callback loop
                 # above); the event object can serve the next sleep.
                 pool = self._timeout_pool
                 if len(pool) < _TIMEOUT_POOL_LIMIT:
                     event._value = None
                     pool.append(event)
-            elif self._pool_events:
-                if cls is StorePut:
-                    pool = self._put_pool
-                    if len(pool) < _EVENT_POOL_LIMIT:
-                        event._value = _RECYCLED
-                        event.item = None
-                        pool.append(event)
-                elif cls is StoreGet:
-                    pool = self._get_pool
-                    if len(pool) < _EVENT_POOL_LIMIT:
-                        event._value = _RECYCLED
-                        event.filter_fn = None
-                        pool.append(event)
         elif not event._defused:
             # Nobody waited on a failed event: surface the error to the caller
             # rather than silently dropping it.
             raise event._value
-
-    def _recycle_consumed(self, event: Event) -> None:
-        """Recycle an in-place-completed event its creator just consumed.
-
-        Called by :meth:`Process._resume` (only when ``pool_events`` is on)
-        for events that never took a queue trip: completed in place by
-        ``trigger_inplace``/``complete`` and consumed synchronously by the
-        yielding process.  At that point the creating process has read the
-        value and, for the F501-certified classes, no other reference
-        exists.  The ``_RECYCLED`` sentinel makes a double consume (an
-        escaping holder yielding the event again) a no-op here instead of a
-        pool corruption; under sanitize the free list poisons the event so
-        the same misuse traps.
-        """
-        cls = type(event)
-        if cls is StorePut:
-            if event._value is _RECYCLED:
-                return
-            pool = self._put_pool
-            if len(pool) < _EVENT_POOL_LIMIT:
-                event._value = _RECYCLED
-                event.item = None
-                pool.append(event)
-        elif cls is StoreGet:
-            if event._value is _RECYCLED:
-                return
-            pool = self._get_pool
-            if len(pool) < _EVENT_POOL_LIMIT:
-                event._value = _RECYCLED
-                event.filter_fn = None
-                pool.append(event)
-
-    def _recycle_release(self, release: Release) -> None:
-        """Return a completed :class:`Release` to its free list immediately.
-
-        A release's observable state after ``Resource.release`` returns is a
-        constant (processed, ok, value ``None``) and the F501 certificate
-        shows no call site stores one, so the object recycles at its
-        creation site rather than waiting for a consumption hook.
-        """
-        pool = self._release_pool
-        if len(pool) < _EVENT_POOL_LIMIT:
-            pool.append(release)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -506,18 +405,17 @@ class SanitizedEnvironment(Environment):
     """An :class:`Environment` with the :mod:`repro.sanitize` traps armed.
 
     ``Environment(sanitize=True)``, or ``Environment()`` under
-    ``REPRO_SANITIZE=1``, builds one.  It runs the same kernel with four
+    ``REPRO_SANITIZE=1``, builds one.  It runs the same kernel with three
     differences:
 
     * :meth:`step` holds the trap window open around ``Environment.step``
       (``try/finally``, so a trap cannot leave it open): the clock and
       global-RNG guards raise while an event executes;
-    * its free lists are :class:`~repro.sanitize.PoisonList` objects, so
-      recyclable events are poisoned instead of pooled — the lists stay
-      empty, every allocation is fresh, and a use after recycling traps;
-    * :meth:`credit_events` is validated;
-    * releases are never recycled, which keeps legitimate
-      ``yield resource.release(...)`` idioms trap-free.
+    * its timeout free list is a :class:`~repro.sanitize.PoisonList`, so a
+      processed :class:`PooledTimeout` is poisoned instead of pooled — the
+      list stays empty, every sleep is a fresh allocation, and a use after
+      recycling traps;
+    * :meth:`credit_events` is validated.
     """
 
     __slots__ = ("_in_event",)
@@ -528,15 +426,12 @@ class SanitizedEnvironment(Environment):
         self,
         initial_time: float = 0.0,
         *,
-        pool_events: bool = False,
         sanitize: Optional[bool] = None,
     ):
-        super().__init__(initial_time, pool_events=pool_events)
+        super().__init__(initial_time)
         # True while step() runs: crediting is legal only in that window.
         self._in_event = False
         self._timeout_pool = PoisonList()
-        self._put_pool = PoisonList()
-        self._get_pool = PoisonList()
         _sanitize.install_guards()
 
     def step(self) -> None:
@@ -574,6 +469,3 @@ class SanitizedEnvironment(Environment):
                 "fast paths elide queue trips only from within step()"
             )
         self._events_processed += count
-
-    def _recycle_release(self, release: Release) -> None:
-        """Never recycle a release: allocations stay fresh."""

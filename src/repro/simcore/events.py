@@ -170,6 +170,7 @@ class Timeout(Event):
 
     @property
     def delay(self) -> float:
+        """Time units between the timeout's creation and its firing."""
         return self._delay
 
     def __repr__(self) -> str:
@@ -277,18 +278,10 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active_process = self
-        consumed_inplace = False
         while True:
             try:
                 if event._ok:
-                    value = event._value
-                    if consumed_inplace and env._pool_events:
-                        # An in-place-completed event is dead the moment its
-                        # value is read: it has no callback list and (per the
-                        # F501 escape certificate) this process is its only
-                        # holder, so it can serve the next allocation.
-                        env._recycle_consumed(event)
-                    next_event = self._generator.send(value)
+                    next_event = self._generator.send(event._value)
                 else:
                     # The waiter acknowledges the failure by having it thrown
                     # into its frame.
@@ -321,7 +314,6 @@ class Process(Event):
                 break
             # The event was already processed: loop immediately with its value.
             event = next_event
-            consumed_inplace = True
 
         if self._value is not PENDING:
             self._target = None

@@ -86,16 +86,9 @@ class Release(Event):
     ``Release``.  The event is therefore completed immediately instead of
     taking a trip through the queue; :meth:`Environment.complete` keeps the
     processed-event count identical to the queued behaviour.
-
-    Under ``Environment(pool_events=True)`` releases recycle through a free
-    list at their creation site: once ``complete`` returns, a release's
-    observable state is a constant (processed, ok, value ``None``), so
-    aliasing between a recycled object and a caller that still holds one is
-    unobservable.  The F501 escape analysis certifies that no call site in
-    the model tree stores a release anyway.
     """
 
-    __slots__ = ("resource", "request", "_generation")
+    __slots__ = ("resource", "request")
 
     def __init__(self, resource: "Resource", request: Request):
         super().__init__(resource.env)
@@ -120,6 +113,7 @@ class Resource:
 
     @property
     def capacity(self) -> int:
+        """Number of slots."""
         return self._capacity
 
     @property
@@ -138,25 +132,6 @@ class Resource:
 
     def release(self, request: Request) -> Release:
         """Return a previously granted slot to the pool."""
-        env = self.env
-        if env._pool_events:
-            pool = env._release_pool
-            if pool:
-                release = pool.pop()
-                # Re-arm the recycled event (state reset mirrors
-                # Release.__init__ + the Event base init).
-                release.callbacks = []
-                release._defused = False
-                release.resource = self
-                release.request = request
-                self._do_release(release)
-                release._ok = True
-                release._value = None
-                env.complete(release)
-            else:
-                release = Release(self, request)
-            env._recycle_release(release)
-            return release
         return Release(self, request)
 
     # -- internal ---------------------------------------------------------
@@ -194,16 +169,9 @@ class Resource:
 
 
 class StorePut(Event):
-    """Event returned by :meth:`Store.put`; triggers once the item is stored.
+    """Event returned by :meth:`Store.put`; triggers once the item is stored."""
 
-    Recycled through the environment's free list under
-    ``Environment(pool_events=True)`` — the F501-certified contract matches
-    :class:`~repro.simcore.events.PooledTimeout`: yield it immediately from
-    exactly one process (or discard it unyielded) and never store or share
-    it; it serves the next ``put`` the moment it has been consumed.
-    """
-
-    __slots__ = ("item", "_generation")
+    __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any):
         # Inlined Event.__init__ (one put per block/message — hot path).
@@ -217,13 +185,9 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    """Event returned by :meth:`Store.get`; its value is the retrieved item.
+    """Event returned by :meth:`Store.get`; its value is the retrieved item."""
 
-    Recycled under ``Environment(pool_events=True)`` with the same
-    yield-immediately contract as :class:`StorePut`.
-    """
-
-    __slots__ = ("filter_fn", "_generation")
+    __slots__ = ("filter_fn",)
 
     def __init__(self, store: "Store", filter_fn: Optional[Callable[[Any], bool]] = None):
         # Inlined Event.__init__ (one get per block/message — hot path).
@@ -262,6 +226,7 @@ class Store:
 
     @property
     def capacity(self) -> float:
+        """Maximum number of items held at once."""
         return self._capacity
 
     def __len__(self) -> int:
@@ -269,39 +234,11 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         """Add ``item``; the event triggers when capacity permits storage."""
-        env = self.env
-        if env._pool_events:
-            pool = env._put_pool
-            if pool:
-                put = pool.pop()
-                # Re-arm the recycled event (mirrors StorePut.__init__).
-                put.callbacks = []
-                put._value = PENDING
-                put._ok = None
-                put._defused = False
-                put.item = item
-                self._put(put)
-                return put
         return StorePut(self, item)
 
     def get(self) -> StoreGet:
         """Remove and return the oldest item (waits if the store is empty)."""
-        env = self.env
-        if env._pool_events:
-            pool = env._get_pool
-            if pool:
-                return self._rearm_get(pool.pop(), None)
         return StoreGet(self)
-
-    def _rearm_get(self, get: StoreGet, filter_fn: Optional[Callable[[Any], bool]]) -> StoreGet:
-        """Reset a recycled get event and run it (mirrors StoreGet.__init__)."""
-        get.callbacks = []
-        get._value = PENDING
-        get._ok = None
-        get._defused = False
-        get.filter_fn = filter_fn
-        self._get(get)
-        return get
 
     # -- internal ---------------------------------------------------------
     def _put(self, put: StorePut) -> None:
@@ -386,15 +323,16 @@ class FilterStore(Store):
     """A :class:`Store` whose getters may select items with a predicate."""
 
     def get(self, filter_fn: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        env = self.env
-        if env._pool_events:
-            pool = env._get_pool
-            if pool:
-                return self._rearm_get(pool.pop(), filter_fn)
+        """Remove and return the oldest item ``filter_fn`` accepts (waits for one).
+
+        ``None`` accepts any item, as :meth:`Store.get` does.
+        """
         return StoreGet(self, filter_fn)
 
 
 class ContainerPut(Event):
+    """Event returned by :meth:`Container.put`; triggers once the amount is deposited."""
+
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
@@ -407,6 +345,8 @@ class ContainerPut(Event):
 
 
 class ContainerGet(Event):
+    """Event returned by :meth:`Container.get`; its value is the withdrawn amount."""
+
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
@@ -434,6 +374,7 @@ class Container:
 
     @property
     def capacity(self) -> float:
+        """Largest amount the container can hold."""
         return self._capacity
 
     @property

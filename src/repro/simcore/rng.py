@@ -25,6 +25,7 @@ class RandomStreams:
 
     @property
     def seed(self) -> int:
+        """The base seed every named stream is derived from."""
         return self._seed
 
     def stream(self, name: str) -> np.random.Generator:

@@ -40,9 +40,11 @@ class SimBarrier:
 
     @property
     def waiting(self) -> int:
+        """Number of processes waiting for the current generation to fill."""
         return len(self._arrived)
 
     def wait(self) -> Event:
+        """Arrive; the event triggers with the generation number once all parties have."""
         ev = Event(self.env)
         self._arrived.append(ev)
         if len(self._arrived) >= self.parties:
@@ -68,9 +70,11 @@ class ConditionVar:
 
     @property
     def waiting(self) -> int:
+        """Number of processes waiting for a notify."""
         return len(self._waiters)
 
     def wait(self) -> Event:
+        """Wait for a notify; the event's value is the notify's ``value``."""
         ev = Event(self.env)
         self._waiters.append(ev)
         return ev
@@ -85,6 +89,7 @@ class ConditionVar:
         return woken
 
     def notify_all(self, value: Any = None) -> int:
+        """Wake every waiter; returns the number woken."""
         return self.notify(len(self._waiters), value)
 
 
@@ -103,9 +108,11 @@ class OneShotSignal:
 
     @property
     def is_set(self) -> bool:
+        """Whether the signal has been set."""
         return self._set
 
     def set(self, value: Any = None) -> None:
+        """Set the signal once, releasing every waiter with ``value``; later calls do nothing."""
         if self._set:
             return
         self._set = True
@@ -115,6 +122,7 @@ class OneShotSignal:
             ev.succeed(value)
 
     def wait(self) -> Event:
+        """Wait for the signal; the event triggers at once if it is already set."""
         ev = Event(self.env)
         if self._set:
             ev.succeed(self._value)

@@ -15,18 +15,6 @@ from repro.trace import Tracer
 __all__ = ["Communicator"]
 
 
-class _Receive(StoreGet):
-    """The receive :meth:`Communicator.sendrecv` posts.
-
-    A subclass, so the engine never recycles it.  Under ``pool_events`` a
-    plain :class:`~repro.simcore.resources.StoreGet` is recycled when it is
-    dispatched, but a receive that completes before its send is dispatched
-    with no waiter, and the caller reads its message afterwards.
-    """
-
-    __slots__ = ()
-
-
 class Communicator:
     """A group of ranks placed on cluster nodes, with MPI-style operations.
 
@@ -174,7 +162,7 @@ class Communicator:
         # posted.  The two Initialize events that ran them are credited,
         # less the one the urgent hop stood for.
         event = next(send)
-        receive = _Receive(self._mailboxes[rank], lambda m: m.matches(source, recv_tag))
+        receive = StoreGet(self._mailboxes[rank], lambda m: m.matches(source, recv_tag))
         env.credit_events(credit)
         try:
             while True:

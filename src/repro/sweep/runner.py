@@ -164,8 +164,24 @@ def _execute_case(payload: Tuple[int, str, str, AnyConfig]) -> Tuple[int, SweepR
     return index, record
 
 
-def _execute_case_to_pipe(payload: Tuple[int, str, str, AnyConfig], sender) -> None:
-    """Child-process entry of the timed path: run one case, send its record."""
+#: Seconds a timed case child lives past its case timeout before its own
+#: deadline ends it, so that a live parent's kill always lands first.
+_CHILD_GRACE_SECONDS = 1.0
+
+
+def _execute_case_to_pipe(
+    payload: Tuple[int, str, str, AnyConfig], sender, timeout: float
+) -> None:
+    """Child-process entry of the timed path: run one case, send its record.
+
+    The child first arms its own deadline, ``timeout`` plus a grace: the
+    default SIGALRM action ends it even when its parent was killed and can
+    no longer kill it.
+    """
+    import signal
+
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    signal.setitimer(signal.ITIMER_REAL, timeout + _CHILD_GRACE_SECONDS)
     sender.send(_execute_case(payload)[1])
 
 
@@ -461,7 +477,9 @@ class SweepRunner:
                     payload = todo.pop()
                     reader, sender = multiprocessing.Pipe(duplex=False)
                     proc = multiprocessing.Process(
-                        target=_execute_case_to_pipe, args=(payload, sender), daemon=True
+                        target=_execute_case_to_pipe,
+                        args=(payload, sender, timeout),
+                        daemon=True,
                     )
                     proc.start()
                     sender.close()  # the child holds the only sending end

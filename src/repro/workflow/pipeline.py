@@ -210,12 +210,9 @@ class PipelineSpec:
     #: the per-phase event sequence, e.g. when external processes mutate
     #: node allocations outside the elastic epoch protocol.
     coalesce: bool = True
-    #: Engine event recycling: serve Store put/get and Release events from
-    #: per-class free lists (bit-identical; the F501 escape analysis
-    #: certifies no runner/transport code holds one past its dispatch — see
-    #: ``docs/static-analysis.md``).  Turn off to keep every event a fresh
-    #: allocation, e.g. when embedding custom processes that retain events.
-    pool_events: bool = True
+    #: Not an option: no code reads it, but ``config_hash`` covers it, so it
+    #: stays to keep the digest of every stored case.
+    pool_events: bool = field(default=True, init=False)
     #: Arm the :mod:`repro.sanitize` runtime determinism traps for this run.
     #: ``False`` (the default) defers to the ``REPRO_SANITIZE`` environment
     #: variable, so a whole sweep can be sanitized without editing configs.

@@ -223,7 +223,6 @@ class PipelineRunner:
             total_nodes=total_nodes,
             deterministic=pipeline.deterministic,
             seed=pipeline.seed,
-            pool_events=pipeline.pool_events,
             # False defers to REPRO_SANITIZE so a whole run can be sanitized
             # from the environment; True forces the traps on for this spec.
             sanitize=pipeline.sanitize or None,

@@ -42,6 +42,7 @@ DOCSTRINGED_PACKAGES = (
     "tenants",
     "simmpi",
     "cluster",
+    "simcore",
 )
 
 #: Top-level modules (not packages) held to the same docstring standard.

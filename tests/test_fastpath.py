@@ -301,51 +301,6 @@ class TestCoalescingBitIdentity:
         assert fast == slow
 
 
-class TestEventPoolingBitIdentity:
-    """Free-list recycling of the F501-certified classes changes nothing."""
-
-    @pytest.mark.parametrize(
-        "label,config",
-        FIGURE2_CASES,
-        ids=lambda val: val if isinstance(val, str) else "",
-    )
-    def test_all_transports(self, label, config):
-        pipeline = config.to_pipeline()
-        pooled = run_pipeline(pipeline.replace(pool_events=True))
-        fresh = run_pipeline(pipeline.replace(pool_events=False))
-        assert result_payload(pooled) == result_payload(fresh)
-
-    def test_store_events_recycle_through_the_free_lists(self):
-        from repro.simcore import Store
-
-        def churn(env, store):
-            for _ in range(8):
-                yield store.put("x")
-                yield store.get()
-
-        env = Environment(pool_events=True)
-        store = Store(env)
-        env.process(churn(env, store))
-        env.run()
-        assert env._put_pool and env._get_pool, "free lists never warmed up"
-
-    def test_release_events_recycle_through_the_free_list(self):
-        from repro.simcore import Resource
-
-        def worker(env, resource):
-            for _ in range(4):
-                req = resource.request()
-                yield req
-                yield env.sleep(0.1)
-                yield resource.release(req)
-
-        env = Environment(pool_events=True)
-        resource = Resource(env, capacity=1)
-        env.process(worker(env, resource))
-        env.run()
-        assert env._release_pool, "release free list never warmed up"
-
-
 class TestCoalescingRule:
     """A run coalesces compute only while no layer can re-rate it.
 

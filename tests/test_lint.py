@@ -139,14 +139,14 @@ RULE_FIXTURES = [
     (
         "F501",
         (
-            "def proc(self, env, store: Store):\n"
-            "    ev = store.put(1)\n"
+            "def proc(self, env):\n"
+            "    ev = env.sleep(1.0)\n"
             "    self.pending = ev\n"
             "    yield ev\n"
         ),
         (
-            "def proc(env, store: Store):\n"
-            "    yield store.put(1)\n"
+            "def proc(env):\n"
+            "    yield env.sleep(1.0)\n"
         ),
         MODEL_MOD,
     ),

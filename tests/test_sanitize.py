@@ -133,36 +133,57 @@ class TestOrderedBoundaries:
 
 
 class TestUseAfterRecycle:
-    def test_holding_a_store_put_past_its_yield_traps(self):
-        def broken(env, store):
-            ev = store.put("x")
-            yield ev
-            yield ev  # use-after-recycle: the event has been poisoned
-
-        env = Environment(sanitize=True, pool_events=True)
-        store = Store(env)
-        env.process(broken(env, store))
-        with pytest.raises(SanitizerTrap) as excinfo:
-            env.run()
-        assert "after recycling" in str(excinfo.value)
-        assert "generation" in str(excinfo.value)
-
-    @pytest.mark.parametrize("make", ["sleep", "get"])
+    @pytest.mark.parametrize("make", ["sleep", "sleep_until"])
     def test_holding_a_pooled_event_past_a_later_step_traps(self, make):
         def broken(env, store):
             yield store.put("x")
-            ev = env.sleep(1.0) if make == "sleep" else store.get()
+            ev = env.sleep(1.0) if make == "sleep" else env.sleep_until(env.now + 1.0)
             yield ev
             yield env.sleep(1.0)  # a later step: ev has been recycled by now
             yield ev
 
-        env = Environment(sanitize=True, pool_events=True)
+        env = Environment(sanitize=True)
         store = Store(env)
         env.process(broken(env, store))
         with pytest.raises(SanitizerTrap) as excinfo:
             env.run()
-        name = "PooledTimeout" if make == "sleep" else "StoreGet"
-        assert f"use of {name} after recycling" in str(excinfo.value)
+        assert "use of PooledTimeout after recycling" in str(excinfo.value)
+        assert "generation" in str(excinfo.value)
+
+    def test_store_and_release_events_held_past_a_later_step_keep_their_values(self):
+        # Only sleeps are pooled: a put, a get and a release stay the caller's
+        # own objects, so holding one past later steps neither traps nor
+        # observes another operation.
+        held = {}
+
+        def holder(env, store, resource):
+            held["put"] = store.put("x")
+            yield held["put"]
+            held["get"] = store.get()
+            yield held["get"]
+            req = resource.request()
+            yield req
+            held["release"] = resource.release(req)
+            yield held["release"]
+            for _ in range(3):
+                yield store.put("y")
+                yield store.get()
+                req = resource.request()
+                yield req
+                yield resource.release(req)
+                yield env.sleep(1.0)
+            for event in held.values():
+                yield event  # processed long ago: resumes at once, no trap
+
+        env = Environment(sanitize=True)
+        store = Store(env)
+        resource = Resource(env, capacity=1)
+        env.process(holder(env, store, resource))
+        env.run()
+        assert held["put"].item == "x"
+        assert held["get"].value == "x"
+        assert held["release"].value is None
+        assert all(event.processed and event.ok for event in held.values())
 
     def test_fresh_event_per_operation_is_fine(self):
         def fine(env, store):
@@ -170,7 +191,7 @@ class TestUseAfterRecycle:
             item = yield store.get()
             assert item == "x"
 
-        env = Environment(sanitize=True, pool_events=True)
+        env = Environment(sanitize=True)
         store = Store(env)
         env.process(fine(env, store))
         env.run()
@@ -182,12 +203,10 @@ class TestUseAfterRecycle:
                 yield store.get()
                 yield env.sleep(1.0)
 
-        env = Environment(sanitize=True, pool_events=True)
+        env = Environment(sanitize=True)
         store = Store(env)
         env.process(fine(env, store))
         env.run()
-        assert env._put_pool == []
-        assert env._get_pool == []
         assert env._timeout_pool == []
 
     def test_releases_are_never_recycled(self):
@@ -202,11 +221,10 @@ class TestUseAfterRecycle:
                 releases.append(release)
                 yield release  # legitimate: must not trap
 
-        env = Environment(sanitize=True, pool_events=True)
+        env = Environment(sanitize=True)
         resource = Resource(env, capacity=1)
         env.process(fine(env, resource))
         env.run()
-        assert env._release_pool == []
         assert len({id(release) for release in releases}) == 4
 
     def test_poison_list_poisons_instead_of_pooling(self):
@@ -287,10 +305,10 @@ class TestEnablement:
 
     def test_sanitize_flag_builds_the_subclass(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        env = Environment(5.0, pool_events=True, sanitize=True)
+        env = Environment(5.0, sanitize=True)
         assert type(env) is SanitizedEnvironment
         assert isinstance(env, Environment)
-        assert (env.now, env.pool_events) == (5.0, True)
+        assert env.now == 5.0
         assert type(Environment()) is Environment
         assert type(Environment(sanitize=False)) is Environment
         assert SanitizedEnvironment().sanitize is True

@@ -42,7 +42,7 @@ _ROUNDS = 3
 _OTHER_NODE = 4
 
 
-def _ring_run(reference, pool_events=False, interferer=None, shared_start=False):
+def _ring_run(reference, interferer=None, shared_start=False):
     """Run ring exchanges through one ``sendrecv`` form; return what must match.
 
     ``interferer(network)``, if given, is started as a process after the
@@ -51,7 +51,7 @@ def _ring_run(reference, pool_events=False, interferer=None, shared_start=False)
     port.  Jitter is on, so every transfer draws from the network's random
     streams.
     """
-    cluster = Cluster(laptop(), num_nodes=6, deterministic=False, pool_events=pool_events)
+    cluster = Cluster(laptop(), num_nodes=6, deterministic=False)
     env, network = cluster.env, cluster.network
     comm = Communicator(cluster, [0, 1, 2, 3], represented_size=4096)
     exchange = partial(_two_process_sendrecv, comm) if reference else comm.sendrecv
@@ -222,11 +222,11 @@ class TestSendrecvOrderIdentity:
         # interferer lands before or after the caller's resume exactly as it
         # did against the two-process form, so its send and the rank's next
         # send reach the sink's port in the same order.
-        ends = _ring_run(reference=True, pool_events=True)["ends"]
+        ends = _ring_run(reference=True)["ends"]
         for when, rank in sorted(set(ends)):
             interferer = partial(_late_sender, when=when, sink=(rank + 1) % 4, hops=hops)
-            expected = _ring_run(reference=True, pool_events=True, interferer=interferer)
-            actual = _ring_run(reference=False, pool_events=True, interferer=interferer)
+            expected = _ring_run(reference=True, interferer=interferer)
+            actual = _ring_run(reference=False, interferer=interferer)
             assert actual == expected, (when, rank)
 
     def test_sendrecv_from_the_first_segment(self):
@@ -249,10 +249,9 @@ class TestSendrecvOrderIdentity:
         rank0_first_send = next(t for t in expected["transfers"] if t[:2] == (0, 1))
         assert rank0_first_send[4] > 0
 
-    @pytest.mark.parametrize("pool_events", [False, True])
-    def test_receives_finishing_before_and_after_the_send(self, pool_events):
-        expected = _ring_run(reference=True, pool_events=pool_events)
-        actual = _ring_run(reference=False, pool_events=pool_events)
+    def test_receives_finishing_before_and_after_the_send(self):
+        expected = _ring_run(reference=True)
+        actual = _ring_run(reference=False)
         assert actual == expected
         for rank, source, nbytes in actual["received"]:
             assert (source, nbytes) == ((rank - 1) % 4, _SIZES[(rank - 1) % 4])

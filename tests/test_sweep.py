@@ -757,6 +757,63 @@ class TestCaseTimeout:
         assert record.ok and record.error_kind == ""
         assert record.result is not None
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="reads child pids from /proc"
+    )
+    def test_a_hung_child_outlives_a_killed_parent_by_at_most_its_grace(self):
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.sweep.runner import _CHILD_GRACE_SECONDS
+
+        timeout = 2.0
+        parent_code = (
+            "import threading\n"
+            "import repro.sweep.runner as runner_module\n"
+            "from repro.bench.experiments import figure2_spec\n"
+            "case = next(iter(figure2_spec(steps=1).cases()))\n"
+            "runner_module.run_config = lambda config: threading.Event().wait(120)\n"
+            f"runner_module.SweepRunner(workers=0, trace=False, case_timeout_seconds={timeout})"
+            ".run([case])\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", parent_code], env=dict(os.environ, PYTHONPATH="src")
+        )
+
+        def children():
+            pids = []
+            for task in Path(f"/proc/{parent.pid}/task").glob("*"):
+                try:
+                    pids += (task / "children").read_text().split()
+                except OSError:
+                    pass
+            return pids
+
+        try:
+            give_up = time.monotonic() + 20.0
+            while not children() and time.monotonic() < give_up:
+                time.sleep(0.05)
+            [child] = children()
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+
+        def state():
+            try:
+                return Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return None  # gone
+
+        # Reaping the orphan is up to its new parent, so a zombie counts as gone.
+        give_up = time.monotonic() + timeout + _CHILD_GRACE_SECONDS + 5.0
+        while state() not in (None, "Z") and time.monotonic() < give_up:
+            time.sleep(0.1)
+        if state() not in (None, "Z"):
+            os.kill(int(child), signal.SIGKILL)
+            pytest.fail(f"the case child {child} outlived its killed parent")
+
     def test_timeout_path_matches_pool_results(self):
         cases = [(f"case-{i}", small_config(seed=i + 1)) for i in range(3)]
         plain = {r.label: r for r in SweepRunner(workers=0, trace=False).run(cases)}
