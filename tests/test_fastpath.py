@@ -301,6 +301,51 @@ class TestCoalescingBitIdentity:
         assert fast == slow
 
 
+class TestEventPoolingBitIdentity:
+    """Free-list recycling of the F501-certified classes changes nothing.
+
+    ``PooledTimeout`` is the only pooled class.  Its free list has one off
+    switch: a sanitized run, whose ``PoisonList`` poisons each processed
+    sleep instead of pooling it, so every sleep is a fresh allocation.
+    """
+
+    @pytest.mark.parametrize(
+        "label,config",
+        FIGURE2_CASES,
+        ids=lambda val: val if isinstance(val, str) else "",
+    )
+    def test_all_transports(self, label, config, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        pipeline = config.to_pipeline()
+        pooled = run_pipeline(pipeline.replace(sanitize=False))
+        fresh = run_pipeline(pipeline.replace(sanitize=True))
+        assert result_payload(pooled) == result_payload(fresh)
+
+    def test_store_and_release_events_are_fresh_per_operation(self):
+        from repro.simcore import Resource, Store
+
+        events = []
+
+        def churn(env, store, resource):
+            for _ in range(4):
+                for event in (store.put("x"), store.get()):
+                    events.append(event)
+                    yield event
+                req = resource.request()
+                yield req
+                events.append(resource.release(req))
+                yield events[-1]
+                yield env.sleep(0.1)
+
+        env = Environment()
+        store, resource = Store(env), Resource(env, capacity=1)
+        env.process(churn(env, store, resource))
+        env.run()
+        assert env._timeout_pool, "timeout free list never warmed up"
+        assert len({id(event) for event in events}) == len(events) == 12
+        assert [event.value for event in events[1::3]] == ["x"] * 4
+
+
 class TestCoalescingRule:
     """A run coalesces compute only while no layer can re-rate it.
 

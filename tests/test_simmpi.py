@@ -42,16 +42,17 @@ _ROUNDS = 3
 _OTHER_NODE = 4
 
 
-def _ring_run(reference, interferer=None, shared_start=False):
+def _ring_run(reference, interferer=None, shared_start=False, sanitize=None):
     """Run ring exchanges through one ``sendrecv`` form; return what must match.
 
     ``interferer(network)``, if given, is started as a process after the
     ranks.  With ``shared_start``, the ranks first wait on one shared
     event, and a process waiting on it after them loads rank 0's injection
     port.  Jitter is on, so every transfer draws from the network's random
-    streams.
+    streams.  ``sanitize`` picks the kernel as ``Environment`` does (``None``
+    defers to ``REPRO_SANITIZE``).
     """
-    cluster = Cluster(laptop(), num_nodes=6, deterministic=False)
+    cluster = Cluster(laptop(), num_nodes=6, deterministic=False, sanitize=sanitize)
     env, network = cluster.env, cluster.network
     comm = Communicator(cluster, [0, 1, 2, 3], represented_size=4096)
     exchange = partial(_two_process_sendrecv, comm) if reference else comm.sendrecv
@@ -249,9 +250,10 @@ class TestSendrecvOrderIdentity:
         rank0_first_send = next(t for t in expected["transfers"] if t[:2] == (0, 1))
         assert rank0_first_send[4] > 0
 
-    def test_receives_finishing_before_and_after_the_send(self):
-        expected = _ring_run(reference=True)
-        actual = _ring_run(reference=False)
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_receives_finishing_before_and_after_the_send(self, sanitize):
+        expected = _ring_run(reference=True, sanitize=sanitize)
+        actual = _ring_run(reference=False, sanitize=sanitize)
         assert actual == expected
         for rank, source, nbytes in actual["received"]:
             assert (source, nbytes) == ((rank - 1) % 4, _SIZES[(rank - 1) % 4])
