@@ -11,7 +11,13 @@ analytical model of Section 4.4.
 
 from __future__ import annotations
 
-from conftest import bench_data_mib, bench_workers, model_error, model_estimate
+from conftest import (
+    bench_data_mib,
+    bench_workers,
+    model_error,
+    model_estimate,
+    pipeline_model_error,
+)
 
 from repro.bench import format_table
 from repro.bench.experiments import figure12_spec
@@ -57,6 +63,10 @@ def test_figure12_no_preserve_breakdown(benchmark, report):
     # The Section 4.4 model predicts the measured end-to-end time.
     worst = max(errors, key=lambda label: abs(errors[label]))
     assert abs(errors[worst]) <= 0.15, (worst, errors[worst])
+    # The a-priori PipelinePerfModel fit, gated at today's worst error.
+    fit = pipeline_model_error(results.values())
+    report(f"Figure 12 PipelinePerfModel worst relative error: {fit:.3f}")
+    assert fit <= 0.43, fit
     # Dominant-stage switch: O(n) is transfer-bound, O(n^1.5) is simulation-bound.
     by_label = {label: res for label, (cfg, res) in results.items()}
     assert by_label["O(n)/1MB"].breakdown.dominant() == "transfer"

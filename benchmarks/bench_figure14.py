@@ -15,7 +15,7 @@ look for:
 
 from __future__ import annotations
 
-from conftest import bench_data_mib, bench_workers
+from conftest import bench_data_mib, bench_workers, pipeline_model_error
 
 from repro.bench import format_table
 from repro.bench.experiments import figure14_spec
@@ -28,16 +28,14 @@ MiB = 1024 * 1024
 CORE_COUNTS = (84, 336, 2352)
 
 
-def run_figure14(data_per_rank: int):
-    return run_labelled(
-        figure14_spec(data_per_rank=data_per_rank, core_counts=CORE_COUNTS),
-        workers=bench_workers(),
-    )
+def run_figure14(spec):
+    return run_labelled(spec, workers=bench_workers())
 
 
 def test_figure14_concurrent_transfer(benchmark, report):
     data_per_rank = bench_data_mib() * MiB
-    results = benchmark.pedantic(run_figure14, args=(data_per_rank,), rounds=1, iterations=1)
+    spec = figure14_spec(data_per_rank=data_per_rank, core_counts=CORE_COUNTS)
+    results = benchmark.pedantic(run_figure14, args=(spec,), rounds=1, iterations=1)
 
     rows = []
     for label, result in results.items():
@@ -75,3 +73,7 @@ def test_figure14_concurrent_transfer(benchmark, report):
         assert abs(
             wallclock(f"O(n^1.5)/{cores}/concurrent") - wallclock(f"O(n^1.5)/{cores}/mpi-only")
         ) <= 0.25 * wallclock(f"O(n^1.5)/{cores}/mpi-only") + 0.5
+    # The a-priori PipelinePerfModel fit, gated at today's worst error.
+    fit = pipeline_model_error((case.config, results[case.label]) for case in spec.cases())
+    report(f"Figure 14 PipelinePerfModel worst relative error: {fit:.3f}")
+    assert fit <= 0.43, fit

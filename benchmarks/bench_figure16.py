@@ -13,20 +13,21 @@ compared to the simulation-only lower bound.  The paper's findings to check:
 
 from __future__ import annotations
 
-from conftest import bench_steps, bench_workers
+from conftest import bench_steps, bench_workers, pipeline_model_error
 
 from repro.bench import format_table
 from repro.bench.experiments import SCALABILITY_CORE_COUNTS, figure16_spec
 from repro.sweep import run_labelled
 
 
-def run_figure16(steps: int):
-    return run_labelled(figure16_spec(steps=steps), workers=bench_workers())
+def run_figure16(spec):
+    return run_labelled(spec, workers=bench_workers())
 
 
 def test_figure16_cfd_weak_scaling(benchmark, report):
     steps = bench_steps()
-    results = benchmark.pedantic(run_figure16, args=(steps,), rounds=1, iterations=1)
+    spec = figure16_spec(steps=steps)
+    results = benchmark.pedantic(run_figure16, args=(spec,), rounds=1, iterations=1)
 
     transports = ("mpiio", "flexpath", "decaf", "zipper", "none")
     rows = []
@@ -63,3 +64,7 @@ def test_figure16_cfd_weak_scaling(benchmark, report):
         results["cfd/3264/mpiio"].end_to_end_time
         > results["cfd/3264/decaf"].end_to_end_time
     )
+    # The a-priori PipelinePerfModel fit, gated at today's worst error.
+    fit = pipeline_model_error((case.config, results[case.label]) for case in spec.cases())
+    report(f"Figure 16 PipelinePerfModel worst relative error: {fit:.3f}")
+    assert fit <= 0.28, fit

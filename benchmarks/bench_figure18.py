@@ -12,20 +12,21 @@ Flexpath, Decaf and Zipper.  The paper's findings to check:
 
 from __future__ import annotations
 
-from conftest import bench_steps, bench_workers
+from conftest import bench_steps, bench_workers, pipeline_model_error
 
 from repro.bench import format_table
 from repro.bench.experiments import SCALABILITY_CORE_COUNTS, figure18_spec
 from repro.sweep import run_labelled
 
 
-def run_figure18(steps: int):
-    return run_labelled(figure18_spec(steps=steps), workers=bench_workers())
+def run_figure18(spec):
+    return run_labelled(spec, workers=bench_workers())
 
 
 def test_figure18_lammps_weak_scaling(benchmark, report):
     steps = bench_steps()
-    results = benchmark.pedantic(run_figure18, args=(steps,), rounds=1, iterations=1)
+    spec = figure18_spec(steps=steps)
+    results = benchmark.pedantic(run_figure18, args=(spec,), rounds=1, iterations=1)
 
     transports = ("mpiio", "flexpath", "decaf", "zipper", "none")
     rows = []
@@ -65,3 +66,7 @@ def test_figure18_lammps_weak_scaling(benchmark, report):
     )
     assert large_gap > small_gap
     assert large_gap > 1.5
+    # The a-priori PipelinePerfModel fit, gated at today's worst error.
+    fit = pipeline_model_error((case.config, results[case.label]) for case in spec.cases())
+    report(f"Figure 18 PipelinePerfModel worst relative error: {fit:.3f}")
+    assert fit <= 0.03, fit

@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.perfmodel import PerformanceModel, StageTimes
+from repro.perfmodel import PerformanceModel, PipelinePerfModel, StageTimes
 
 MiB = 1024 * 1024
 
@@ -73,6 +73,27 @@ def model_error(cfg, result) -> float:
     """Relative error of :func:`model_estimate` against the measured end-to-end time."""
     measured = result.end_to_end_time
     return (model_estimate(cfg, result).time_to_solution() - measured) / measured
+
+
+def pipeline_model_error(configured) -> float:
+    """Worst relative error of the a-priori ``PipelinePerfModel`` over Zipper runs.
+
+    ``configured`` yields ``(config, result)`` pairs.  For every Zipper case
+    that did not fail, the model's bottleneck step time times the source's
+    step count is compared with the measured end-to-end time.  The model
+    supplies the model-driven controller's priors before any epoch is seen.
+    """
+    worst = 0.0
+    for cfg, result in configured:
+        if cfg.transport != "zipper" or result.failed:
+            continue
+        pipeline = cfg.to_pipeline()
+        (source,) = pipeline.sources
+        step_time = PipelinePerfModel(pipeline).predicted_step_time()
+        predicted = pipeline.stage_steps(source.name) * step_time
+        measured = result.end_to_end_time
+        worst = max(worst, abs(predicted - measured) / measured)
+    return worst
 
 
 @pytest.fixture(scope="session")

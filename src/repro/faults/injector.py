@@ -1,9 +1,9 @@
 """Apply a :class:`~repro.faults.plan.FaultPlan` to a running pipeline.
 
 The :class:`FaultInjector` is an ordinary simulated process: it sleeps to
-each scheduled fault time with the engine's own pooled timeouts, mutates
-the cluster/coupling state (a node's or a coupling's ``"fault"`` rate
-factor, link bandwidth), and records every transition as a
+each scheduled fault time with ``env.sleep_until``, mutates the
+cluster/coupling state (a node's or a coupling's ``"fault"`` rate factor,
+link bandwidth), and records every transition as a
 :class:`~repro.faults.plan.FaultEvent`.  It writes only its own rate
 factor, so a transport restart composes with the elastic controller's
 bandwidth lease and the tenant share instead of overwriting them.  Because

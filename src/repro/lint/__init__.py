@@ -25,7 +25,6 @@ from repro.lint.framework import (
     LineFix,
     LintReport,
     Module,
-    ProjectRule,
     Rule,
     all_rules,
     apply_fixes,
@@ -43,7 +42,6 @@ __all__ = [
     "LineFix",
     "LintReport",
     "Module",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "apply_fixes",

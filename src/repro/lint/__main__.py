@@ -58,14 +58,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--flow-report",
-        action="store_true",
-        help=(
-            "print the machine-readable escape/crediting certificate "
-            "(JSON) instead of linting"
-        ),
-    )
     return parser
 
 
@@ -92,14 +84,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}")
         return 2
-
-    if args.flow_report:
-        import json
-
-        from repro.lint.flow.report import flow_report
-
-        print(json.dumps(flow_report(paths), indent=2, sort_keys=True))
-        return 0
 
     report = lint_paths(paths, rules=rules, fix=args.fix)
     print(render_json(report) if args.format == "json" else render_text(report))

@@ -28,7 +28,6 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     ClassVar,
     Dict,
     Iterable,
@@ -41,14 +40,10 @@ from typing import (
     Type,
 )
 
-if TYPE_CHECKING:
-    from repro.lint.flow.project import Project
-
 __all__ = [
     "Finding",
     "LineFix",
     "Module",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "apply_fixes",
@@ -217,27 +212,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class of whole-program rules (the interprocedural ``F5xx`` set).
-
-    A project rule sees every in-scope module at once through a
-    ``repro.lint.flow.project.Project`` and yields findings anchored in any
-    of them; :func:`lint_paths` builds one shared project per run (and
-    :func:`lint_module` a single-module project, so source fixtures exercise
-    these rules too).  Suppression comments apply exactly as for per-module
-    rules: the finding is matched against the ``allow`` set of the module it
-    lands in.
-    """
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        """Project rules never run per-module."""
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
-        """Yield every violation over the whole ``project``."""
-        raise NotImplementedError
-
-
 _REGISTRY: Dict[str, Rule] = {}
 
 
@@ -254,8 +228,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Every registered rule, sorted by id (imports the rule modules)."""
-    import repro.lint.flow.crediting  # noqa: F401  - registration side effect
-    import repro.lint.flow.escape  # noqa: F401  - registration side effect
     import repro.lint.rules  # noqa: F401  - registration side effect
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
@@ -282,51 +254,18 @@ def select_rules(
     return rules
 
 
-def _run_project_rules(
-    rules: Sequence["ProjectRule"], modules: Sequence[Module]
-) -> List[Finding]:
-    """Run whole-program rules over ``modules``, honouring suppressions.
-
-    The flow package is imported lazily: it depends on this module, and a
-    plain per-module lint should not pay for building a project.
-    """
-    from repro.lint.flow.project import Project
-
-    scoped = [m for m in modules if any(r.applies_to(m) for r in rules)]
-    if not scoped:
-        return []
-    project = Project(scoped)
-    by_path = {m.path: m for m in scoped}
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check_project(project):
-            module = by_path.get(finding.path)
-            if module is None or not rule.applies_to(module):
-                continue
-            if not module.suppressed(finding):
-                findings.append(finding)
-    return findings
-
-
 def lint_module(module: Module, rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
-    """Run ``rules`` (default: all) over one module, honouring suppressions.
-
-    Project-wide rules run against a single-module project, so source
-    fixtures (and single-file CLI invocations) still exercise them.
-    """
+    """Run ``rules`` (default: all) over one module, honouring suppressions."""
     if module.skip_file:
         return []
     active = list(rules) if rules is not None else all_rules()
     findings: List[Finding] = []
     for rule in active:
-        if isinstance(rule, ProjectRule) or not rule.applies_to(module):
+        if not rule.applies_to(module):
             continue
         for finding in rule.check(module):
             if not module.suppressed(finding):
                 findings.append(finding)
-    project_rules = [r for r in active if isinstance(r, ProjectRule)]
-    if project_rules:
-        findings.extend(_run_project_rules(project_rules, [module]))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -436,19 +375,14 @@ def lint_paths(
     rules: Optional[Sequence[Rule]] = None,
     fix: bool = False,
 ) -> LintReport:
-    """Lint every Python file under ``paths``.
+    """Lint every Python file under ``paths``, one file at a time.
 
-    Per-module rules run file by file; whole-program rules run once over a
-    project built from every in-scope module.  With ``fix=True``, mechanical
-    fixes are written back and the file is re-linted so the report only
-    contains what remains for a human; the applied fixes are listed in
-    report order (see :func:`apply_fixes`).
+    With ``fix=True``, mechanical fixes are written back and the file is
+    re-linted so the report only contains what remains for a human; the
+    applied fixes are listed in report order (see :func:`apply_fixes`).
     """
     report = LintReport()
     active = list(rules) if rules is not None else all_rules()
-    module_rules = [r for r in active if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in active if isinstance(r, ProjectRule)]
-    modules: List[Module] = []
     for file in iter_python_files(paths):
         source = file.read_text(encoding="utf-8")
         try:
@@ -456,7 +390,7 @@ def lint_paths(
         except SyntaxError as exc:
             report.errors.append((str(file), f"syntax error: {exc}"))
             continue
-        findings = lint_module(module, module_rules)
+        findings = lint_module(module, active)
         if fix and any(f.fix is not None for f in findings):
             new_source, applied = apply_fixes(source, findings)
             if applied:
@@ -464,11 +398,8 @@ def lint_paths(
                 report.fixes_applied += len(applied)
                 report.applied.extend(applied)
                 module = Module(str(file), new_source, module.module_name)
-                findings = lint_module(module, module_rules)
+                findings = lint_module(module, active)
         report.findings.extend(findings)
         report.files_checked += 1
-        modules.append(module)
-    if project_rules:
-        report.findings.extend(_run_project_rules(project_rules, modules))
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report

@@ -10,9 +10,6 @@ decorator at import time).  Rules come in three families:
   fast-path crediting and allocation invariants.
 * ``H`` — hygiene (:mod:`repro.lint.rules.hygiene`): general hazards scoped
   to where they corrupt simulations.
-* ``F`` — interprocedural flow (:mod:`repro.lint.flow`): whole-program
-  escape analysis behind the event-pooling certificate (F501) and crediting
-  conservation across call boundaries (F502).
 
 See ``docs/static-analysis.md`` for the full catalogue with rationale and
 the suppression syntax.

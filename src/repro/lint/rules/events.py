@@ -3,9 +3,10 @@
 PR 5's speedups rest on a bookkeeping contract: every fast path that elides
 queue trips must credit exactly the events it skipped, so
 ``Environment.events_processed`` stays a machine-independent *model* count
-(``tests/test_fastpath.py`` asserts bit-identity dynamically; E301 catches the
-omission at review time).  E302 keeps the event hierarchy allocation-lean and
-E303 catches the classic stale-clock bug in process generators.
+(``tests/test_fastpath.py`` asserts bit-identity dynamically; E301 catches an
+omitted or miscounted literal credit at review time).  E302 keeps the event
+hierarchy allocation-lean and E303 catches the classic stale-clock bug in
+process generators.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ _EVENT_BASES = frozenset(
     {
         "Event",
         "Timeout",
-        "PooledTimeout",
         "Initialize",
         "Interruption",
         "Process",
@@ -58,6 +58,11 @@ def _attr_tail(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _is_self(node: ast.expr) -> bool:
+    """Whether ``node`` is the bare name ``self``."""
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 @register
 class UncreditedFastPath(Rule):
     """E301: a function that bypasses the evented resource protocol must credit."""
@@ -69,27 +74,46 @@ class UncreditedFastPath(Rule):
         "elides the request/release queue trips; unless it calls "
         "`Environment.credit_events` (or the self-crediting `trigger_inplace`"
         "/`complete`) in the same function, `events_processed` diverges "
-        "between the fast and slow paths and bit-identity is lost."
+        "between the fast and slow paths and bit-identity is lost.  Literal "
+        "`credit_events(<int>)` amounts must also sum to the elided trips: "
+        "one per foreign `users.append`/`users.remove`."
     )
     # The kernel itself (repro.simcore) is the audited mechanism layer where
     # these lists live; the rule polices everyone reaching in from outside.
     scope = tuple(p for p in MODEL_PACKAGES if p != "repro.simcore")
 
     def check(self, module: Module) -> Iterator[Finding]:
-        """Flag functions touching foreign resource internals without crediting."""
+        """Flag fast paths that credit nothing, or a wrong literal amount."""
         for func in function_defs(module.tree):
-            touches: List[ast.AST] = []
-            credits = False
+            touches = False
+            literals: List[int] = []
+            # A computed credit or a self-crediting primitive: the amount is
+            # not a sum of literals, so only the sanitizer can check it.
+            uncounted = False
+            elided = 0
             for node in walk_shallow(func, include_root=False):
                 if isinstance(node, ast.Attribute) and node.attr in _FASTPATH_INTERNALS:
-                    base = node.value
-                    if not (isinstance(base, ast.Name) and base.id == "self"):
-                        touches.append(node)
-                if isinstance(node, ast.Call):
-                    tail = _attr_tail(node.func)
-                    if tail in _CREDITING_CALLS:
-                        credits = True
-            if touches and not credits:
+                    touches = touches or not _is_self(node.value)
+                if not isinstance(node, ast.Call):
+                    continue
+                tail = _attr_tail(node.func)
+                if tail in _CREDITING_CALLS:
+                    args = node.args
+                    amount = args[0] if tail == "credit_events" and len(args) == 1 else None
+                    if isinstance(amount, ast.Constant) and isinstance(amount.value, int):
+                        literals.append(amount.value)
+                    else:
+                        uncounted = True
+                callee = node.func
+                if (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr in ("append", "remove")
+                    and isinstance(callee.value, ast.Attribute)
+                    and callee.value.attr == "users"
+                    and not _is_self(callee.value.value)
+                ):
+                    elided += 1
+            if touches and not (literals or uncounted):
                 yield self.finding(
                     module,
                     func,
@@ -97,6 +121,15 @@ class UncreditedFastPath(Rule):
                     "fast path eliding queue trips) but never calls "
                     "`credit_events`/`trigger_inplace`/`complete`; "
                     "`events_processed` will diverge from the slow path",
+                )
+            elif literals and not uncounted and elided and sum(literals) != elided:
+                yield self.finding(
+                    module,
+                    func,
+                    f"`{func.name}` credits {sum(literals)} event(s) but "
+                    f"elides {elided} (one per foreign "
+                    "`users.append`/`users.remove`); `events_processed` "
+                    "will diverge from the slow path",
                 )
 
 

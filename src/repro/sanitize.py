@@ -1,13 +1,12 @@
 """Runtime determinism sanitizer: the dynamic counterpart of ``repro.lint``.
 
-The static analyses in :mod:`repro.lint` prove determinism and event-pooling
-invariants where the dataflow lattice can see them; this module traps, *at
-run time*, the violations it cannot — an unseeded global :mod:`random` draw
-reached through a callback the call graph over-approximates, a wall-clock
-read behind an alias, a recycled sleep event touched by a holder the
-escape analysis never saw.  It is the simulation analogue of AddressSanitizer:
-cheap enough to run the CI smoke sweep under, precise enough that every trap
-names the violated contract.
+The static rules in :mod:`repro.lint` prove determinism and event-crediting
+invariants where a single function's syntax shows them; this module traps,
+*at run time*, the violations they cannot see — an unseeded global
+:mod:`random` draw reached through a callback, a wall-clock read behind an
+alias, a credit computed at run time.  It is the simulation analogue of
+AddressSanitizer: cheap enough to run the CI smoke sweep under, precise
+enough that every trap names the violated contract.
 
 Enable it per environment (``Environment(sanitize=True)``) or globally for a
 whole run with ``REPRO_SANITIZE=1``; either way the kernel builds a
@@ -18,14 +17,6 @@ whole run with ``REPRO_SANITIZE=1``; either way the kernel builds a
   *while a sanitized environment is executing an event* (instance-based
   :class:`~repro.simcore.rng.RandomStreams` generators are untouched — they
   are the sanctioned randomness);
-* **poisons** the one recyclable event class, the
-  :class:`~repro.simcore.events.PooledTimeout` of ``env.sleep``, instead of
-  pooling it: its timeout free list is a :class:`PoisonList`, which stays
-  empty, so every sleep is a fresh allocation, and a processed one is
-  marked failed with a :class:`SanitizerTrap` carrying a bumped generation
-  counter — any holder that touches it after recycling has the trap thrown
-  into its frame instead of silently observing the event's next
-  incarnation;
 * validates :meth:`~repro.simcore.engine.Environment.credit_events` calls
   (positive integer counts, only while an event is executing) so a fast
   path cannot quietly corrupt the machine-independent event count;
@@ -44,17 +35,15 @@ from __future__ import annotations
 import os
 import random
 import time
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 __all__ = [
-    "PoisonList",
     "SanitizerTrap",
     "check_ordered",
     "default_enabled",
     "guards_installed",
     "in_sanitized_step",
     "install_guards",
-    "poison_event",
     "uninstall_guards",
 ]
 
@@ -63,8 +52,7 @@ class SanitizerTrap(RuntimeError):
     """A determinism contract was violated at run time.
 
     Raised (or delivered through the event-failure machinery) by the hooks
-    this module installs.  The message always names the violated contract
-    and, for use-after-recycle traps, the event's generation counter.
+    this module installs.  The message always names the violated contract.
     """
 
 
@@ -197,47 +185,6 @@ def uninstall_guards() -> None:
 def guards_installed() -> bool:
     """Whether :func:`install_guards` is currently in effect."""
     return bool(_saved)
-
-
-# -- event poisoning (use-after-recycle) ---------------------------------
-def poison_event(event: Any) -> None:
-    """Mark a would-be-recycled event so any later touch traps.
-
-    :class:`PoisonList` calls this *instead of* keeping the event, at
-    exactly the points recycling would happen.  The event is left
-    processed-and-failed with a :class:`SanitizerTrap` value and a
-    bumped ``_generation`` counter: a holder that yields it has the trap
-    thrown into its generator frame; a holder that reads ``.value`` sees the
-    trap object.  Because nothing is actually pooled, every allocation stays
-    fresh and the trap is a pure detector — it never changes which object a
-    correct program observes.
-    """
-    generation = getattr(event, "_generation", 0) + 1
-    event._generation = generation
-    event.callbacks = None
-    event._ok = False
-    event._defused = False
-    event._value = SanitizerTrap(
-        f"sanitizer: use of {type(event).__name__} after recycling "
-        f"(generation {generation}) — pooled events must not outlive their "
-        "step() dispatch; see docs/static-analysis.md"
-    )
-
-
-class PoisonList(List[Any]):
-    """A free list that never pools: :meth:`append` poisons the event instead.
-
-    A :class:`~repro.simcore.engine.SanitizedEnvironment` holds its timeout
-    free list in one, so the kernel's own recycling code poisons every
-    :class:`~repro.simcore.events.PooledTimeout` it would have pooled, and
-    the list stays empty.
-    """
-
-    __slots__ = ()
-
-    def append(self, event: Any, /) -> None:
-        """Poison ``event`` (see :func:`poison_event`); keep nothing."""
-        poison_event(event)
 
 
 # -- order-sensitive boundaries ------------------------------------------

@@ -45,7 +45,6 @@ from repro.simcore.errors import (
 from repro.simcore.events import (
     Event,
     Timeout,
-    PooledTimeout,
     Process,
     AllOf,
     ConditionEvent,
@@ -54,7 +53,6 @@ from repro.simcore.engine import (
     Environment,
     SanitizedEnvironment,
     EmptySchedule,
-    POOLED_EVENT_CLASSES,
 )
 from repro.simcore.resources import (
     Resource,
@@ -75,7 +73,6 @@ __all__ = [
     "Interrupt",
     "Event",
     "Timeout",
-    "PooledTimeout",
     "Process",
     "AllOf",
     "ConditionEvent",
@@ -93,5 +90,4 @@ __all__ = [
     "PeriodicController",
     "CounterDeltas",
     "PIDSmoother",
-    "POOLED_EVENT_CLASSES",
 ]

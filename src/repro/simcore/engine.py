@@ -7,31 +7,18 @@ from itertools import count
 from typing import Any, List, Optional, Tuple
 
 from repro import sanitize as _sanitize
-from repro.sanitize import PoisonList, SanitizerTrap
+from repro.sanitize import SanitizerTrap
 from repro.simcore.errors import SimulationError
 from repro.simcore.events import (
     Event,
     NORMAL,
     PENDING,
-    PooledTimeout,
     Process,
     ProcessGenerator,
     Timeout,
 )
 
-__all__ = ["Environment", "SanitizedEnvironment", "EmptySchedule", "POOLED_EVENT_CLASSES"]
-
-#: Upper bound on the recycled-:class:`PooledTimeout` free list.  Generous
-#: enough for every rank of a large pipeline to have one sleep in flight;
-#: beyond it, extra events are simply left to the garbage collector.
-_TIMEOUT_POOL_LIMIT = 512
-
-#: Event classes the engine recycles: only ``PooledTimeout``, whose contract
-#: is opt-in at the call site (only ``Environment.sleep`` / ``sleep_until``
-#: hand one out).  Every other event is a fresh allocation that its holder
-#: may keep.  The lint meta-tests pin this tuple to the F501 escape-analysis
-#: certificate (``python -m repro.lint --flow-report``).
-POOLED_EVENT_CLASSES: Tuple[str, ...] = ("PooledTimeout",)
+__all__ = ["Environment", "SanitizedEnvironment", "EmptySchedule"]
 
 
 class EmptySchedule(Exception):
@@ -65,7 +52,6 @@ class Environment:
         "_eid",
         "_active_process",
         "_events_processed",
-        "_timeout_pool",
         "_solo_callback",
     )
 
@@ -97,7 +83,6 @@ class Environment:
         self._eid = count()
         self._active_process: Optional[Process] = None
         self._events_processed = 0
-        self._timeout_pool: List[PooledTimeout] = []
         # True while step() is executing the callback of an event that had
         # exactly one.  In that window, a freshly created event that (a) is
         # already triggered and (b) faces an empty same-time horizon (no
@@ -143,23 +128,27 @@ class Environment:
         """Start a new process from ``generator`` and return its event."""
         return Process(self, generator)
 
-    def sleep(self, delay: float) -> PooledTimeout:
-        """A recycled timeout firing ``delay`` from now (hot-path ``timeout``).
+    def sleep(self, delay: float) -> Timeout:
+        """A :class:`Timeout` firing ``delay`` from now (hot-path ``timeout``).
 
-        Allocation-free when the free list is warm.  The returned event obeys
-        the :class:`~repro.simcore.events.PooledTimeout` contract: yield it
-        immediately from exactly one process and never store or share it —
-        it returns to the free list the moment it is processed.
+        The same event as :meth:`timeout` with no value, built without the
+        ``__init__`` chain: the process loops of every layer sleep through
+        here once per modelled step.
         """
         if not delay >= 0:
             raise SimulationError(f"invalid delay {delay!r}")
-        event = self._pooled_timeout()
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._defused = False
         event._delay = delay
         heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
         return event
 
-    def sleep_until(self, when: float) -> PooledTimeout:
-        """A recycled timeout firing at the *absolute* time ``when``.
+    def sleep_until(self, when: float) -> Timeout:
+        """A :class:`Timeout` firing at the *absolute* time ``when``.
 
         The coalescing hook: a batch fast-forward computes its exact end time
         with the same float arithmetic the per-call path would use, then jumps
@@ -170,29 +159,14 @@ class Environment:
             raise SimulationError(
                 f"invalid sleep_until({when!r}): not at or after now ({self._now!r})"
             )
-        event = self._pooled_timeout()
-        event._delay = when - self._now
-        heappush(self._queue, (when, NORMAL, next(self._eid), event))
-        return event
-
-    def _pooled_timeout(self) -> PooledTimeout:
-        """Pop a recycled timeout from the free list, or allocate a fresh one.
-
-        A recycled event only needs its callback list re-armed: pooled
-        timeouts are always ok/undefused and step() cleared the value when
-        it returned the event to the pool.
-        """
-        pool = self._timeout_pool
-        if pool:
-            event = pool.pop()
-            event.callbacks = []
-            return event
-        event = PooledTimeout.__new__(PooledTimeout)
+        event = Timeout.__new__(Timeout)
         event.env = self
         event.callbacks = []
         event._value = None
         event._ok = True
         event._defused = False
+        event._delay = when - self._now
+        heappush(self._queue, (when, NORMAL, next(self._eid), event))
         return event
 
     # -- fast-path accounting ---------------------------------------------
@@ -288,15 +262,7 @@ class Environment:
                     callback(event)
         self._events_processed += 1
 
-        if event._ok:
-            if type(event) is PooledTimeout:
-                # Every waiter has been resumed (inside the callback loop
-                # above); the event object can serve the next sleep.
-                pool = self._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_LIMIT:
-                    event._value = None
-                    pool.append(event)
-        elif not event._defused:
+        if not event._ok and not event._defused:
             # Nobody waited on a failed event: surface the error to the caller
             # rather than silently dropping it.
             raise event._value
@@ -405,16 +371,12 @@ class SanitizedEnvironment(Environment):
     """An :class:`Environment` with the :mod:`repro.sanitize` traps armed.
 
     ``Environment(sanitize=True)``, or ``Environment()`` under
-    ``REPRO_SANITIZE=1``, builds one.  It runs the same kernel with three
+    ``REPRO_SANITIZE=1``, builds one.  It runs the same kernel with two
     differences:
 
     * :meth:`step` holds the trap window open around ``Environment.step``
       (``try/finally``, so a trap cannot leave it open): the clock and
       global-RNG guards raise while an event executes;
-    * its timeout free list is a :class:`~repro.sanitize.PoisonList`, so a
-      processed :class:`PooledTimeout` is poisoned instead of pooled — the
-      list stays empty, every sleep is a fresh allocation, and a use after
-      recycling traps;
     * :meth:`credit_events` is validated.
     """
 
@@ -431,7 +393,6 @@ class SanitizedEnvironment(Environment):
         super().__init__(initial_time)
         # True while step() runs: crediting is legal only in that window.
         self._in_event = False
-        self._timeout_pool = PoisonList()
         _sanitize.install_guards()
 
     def step(self) -> None:

@@ -29,7 +29,6 @@ __all__ = [
     "ProcessGenerator",
     "Event",
     "Timeout",
-    "PooledTimeout",
     "Initialize",
     "Interruption",
     "Process",
@@ -175,21 +174,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay!r} at {id(self):#x}>"
-
-
-class PooledTimeout(Timeout):
-    """A :class:`Timeout` drawn from the environment's free list.
-
-    Created only by :meth:`Environment.sleep` / :meth:`Environment.sleep_until`
-    and recycled by :meth:`Environment.step` the moment it has been processed.
-    The contract that makes recycling safe: a pooled timeout must be yielded
-    immediately by exactly one process and never stored, shared, or passed to
-    a :class:`ConditionEvent` — any holder-after-processing would observe the
-    event's *next* incarnation.  Model code that needs a shareable timeout
-    uses the plain :class:`Timeout` as before.
-    """
-
-    __slots__ = ("_generation",)
 
 
 class Initialize(Event):

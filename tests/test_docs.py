@@ -29,8 +29,8 @@ REQUIRED_DOCS = (
 )
 
 #: Packages whose public API must be fully docstringed (mirrors the ruff
-#: ``D`` lint scope of the CI docs job).  ``lint`` covers the
-#: interprocedural ``lint/flow`` package via the recursive glob.
+#: ``D`` lint scope of the CI docs job).  ``lint`` covers its ``rules``
+#: subpackage via the recursive glob.
 DOCSTRINGED_PACKAGES = (
     "elastic",
     "faults",
@@ -141,7 +141,7 @@ def test_anchor_slugs_match_github_convention():
 def test_page_anchors_cover_known_headings():
     anchors = page_anchors(REPO_ROOT / "docs" / "static-analysis.md")
     assert "the-runtime-sanitizer" in anchors
-    assert "f--interprocedural-flow" in anchors
+    assert "e--event-kernel-contracts" in anchors
     assert "suppression-syntax" in anchors
 
 

@@ -1,4 +1,4 @@
-"""The engine fast path: pooled timeouts, event crediting, compute coalescing.
+"""The engine fast path: sleep timeouts, event crediting, compute coalescing.
 
 The acceptance invariant of the fast path is *bit-identity*: for fixed seeds,
 a run with ``PipelineSpec.coalesce=True`` (the default) must produce exactly
@@ -8,6 +8,8 @@ itself reproduces the pre-fast-path engine event for event.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.cluster.node import ComputeNode
 from repro.cluster.presets import bridges
 from repro.elastic import ModelDrivenPolicy
 from repro.faults import FaultPlan, FaultSpec
-from repro.simcore import Environment, PooledTimeout, SimulationError
+from repro.simcore import AllOf, Environment, SimulationError, Timeout
 from repro.tenants import JobSpec, TenantScheduler, TenantSpec
 from repro.workflow import CouplingSpec, PipelineSpec, StageSpec
 from repro.workflow.runner import run_pipeline
@@ -46,7 +48,7 @@ def payload_pair(pipeline):
 
 
 # -- engine primitives --------------------------------------------------------
-class TestPooledTimeouts:
+class TestSleep:
     def test_sleep_advances_like_timeout(self):
         env = Environment()
         log = []
@@ -61,24 +63,21 @@ class TestPooledTimeouts:
         env.run()
         assert log == [1.5, 2.0]
 
-    def test_sleep_recycles_the_event_object(self):
+    def test_three_sleeps_are_three_distinct_timeouts(self):
         env = Environment()
         seen = []
 
         def proc(env):
             for _ in range(3):
                 event = env.sleep(1.0)
-                seen.append(id(event))
+                seen.append(event)
                 yield event
 
         env.process(proc(env))
         env.run()
-        # An event returns to the free list only after its callbacks ran, so
-        # the next sleep (created inside the callback) allocates a second
-        # object — and from then on the two alternate out of the pool.
-        assert len(seen) == 3
-        assert seen[2] == seen[0]
-        assert len(set(seen)) == 2
+        assert len({id(event) for event in seen}) == 3
+        assert all(type(event) is Timeout for event in seen)
+        assert all(event.processed and event.value is None for event in seen)
 
     def test_sleep_rejects_negative_delay(self):
         env = Environment()
@@ -101,7 +100,107 @@ class TestPooledTimeouts:
         env.process(proc(env))
         env.run()
         assert log == [3.25]
-        assert isinstance(env.sleep_until(env.now), PooledTimeout)
+        assert type(env.sleep_until(env.now)) is Timeout
+
+
+# A sleep is a plain Timeout its holder may keep: each program below holds
+# one past later steps and must observe exactly what the same program
+# written with ``env.timeout`` observes.  ``make(delay)`` builds the event.
+def _held_in_a_list(env, make, log):
+    held = [make(1.0)]
+    yield held[0]
+    yield make(2.0)
+    log.append((env.now, held[0].processed, held[0].value))
+    yield held[0]
+    log.append(env.now)
+
+
+def _held_in_an_attribute(env, make, log):
+    holder = SimpleNamespace(event=make(1.0))
+    yield holder.event
+    yield make(2.0)
+    log.append((env.now, holder.event.processed, holder.event.value))
+    yield holder.event
+    log.append(env.now)
+
+
+def _captured_by_a_closure(env, make, log):
+    event = make(1.0)
+
+    def peek():
+        return env.now, event.processed, event.value
+
+    yield event
+    yield make(2.0)
+    log.append(peek())
+
+
+def _put_in_an_all_of(env, make, log):
+    children = [make(1.0), make(3.0)]
+    result = yield AllOf(env, children)
+    log.append((env.now, [(children.index(ev), value) for ev, value in result.items()]))
+    log.append([(child.processed, child.value) for child in children])
+
+
+def _stash(event, holder):
+    holder.stashed = event
+    return event
+
+
+def _passed_to_a_storing_helper(env, make, log):
+    holder = SimpleNamespace(stashed=None)
+    yield _stash(make(1.0), holder)
+    yield make(2.0)
+    log.append((env.now, holder.stashed.processed, holder.stashed.value))
+
+
+def _yielded_again_after_later_steps(env, make, log):
+    event = make(1.0)
+    yield event
+    yield make(2.0)
+    yield make(1.0)
+    log.append(env.now)
+    value = yield event  # processed long ago: resumes at once
+    log.append((env.now, value, event.processed))
+
+
+def _churn(env, make):
+    """Sleep again just after the held event fires, then for a long time."""
+    yield make(1.5)
+    yield make(10.0)
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize("kind", ["sleep", "sleep_until"])
+@pytest.mark.parametrize(
+    "program",
+    [
+        _held_in_a_list,
+        _held_in_an_attribute,
+        _captured_by_a_closure,
+        _put_in_an_all_of,
+        _passed_to_a_storing_helper,
+        _yielded_again_after_later_steps,
+    ],
+    ids=lambda program: program.__name__.strip("_"),
+)
+def test_a_held_sleep_observes_what_a_held_timeout_does(program, kind, sanitize):
+    def observe(make_for):
+        env = Environment(sanitize=sanitize)
+        make = make_for(env)
+        log = []
+        env.process(program(env, make, log))
+        env.process(_churn(env, make))
+        env.run()
+        return log, env.now, env.events_processed
+
+    if kind == "sleep":
+        sleeps = observe(lambda env: env.sleep)
+    else:
+        sleeps = observe(lambda env: lambda delay: env.sleep_until(env.now + delay))
+    timeouts = observe(lambda env: env.timeout)
+    assert sleeps == timeouts
+    assert sleeps[0], "the program logged nothing"
 
 
 class TestEventAccounting:
@@ -301,12 +400,11 @@ class TestCoalescingBitIdentity:
         assert fast == slow
 
 
-class TestEventPoolingBitIdentity:
-    """Free-list recycling of the F501-certified classes changes nothing.
+class TestSanitizedBitIdentity:
+    """A sanitized run persists what a plain run does.
 
-    ``PooledTimeout`` is the only pooled class.  Its free list has one off
-    switch: a sanitized run, whose ``PoisonList`` poisons each processed
-    sleep instead of pooling it, so every sleep is a fresh allocation.
+    The sanitizer only adds checks around the one kernel step, so every
+    Figure 2 transport must produce equal payloads with it on and off.
     """
 
     @pytest.mark.parametrize(
@@ -317,9 +415,9 @@ class TestEventPoolingBitIdentity:
     def test_all_transports(self, label, config, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         pipeline = config.to_pipeline()
-        pooled = run_pipeline(pipeline.replace(sanitize=False))
-        fresh = run_pipeline(pipeline.replace(sanitize=True))
-        assert result_payload(pooled) == result_payload(fresh)
+        plain = run_pipeline(pipeline.replace(sanitize=False))
+        sanitized = run_pipeline(pipeline.replace(sanitize=True))
+        assert result_payload(plain) == result_payload(sanitized)
 
     def test_store_and_release_events_are_fresh_per_operation(self):
         from repro.simcore import Resource, Store
@@ -341,7 +439,6 @@ class TestEventPoolingBitIdentity:
         store, resource = Store(env), Resource(env, capacity=1)
         env.process(churn(env, store, resource))
         env.run()
-        assert env._timeout_pool, "timeout free list never warmed up"
         assert len({id(event) for event in events}) == len(events) == 12
         assert [event.value for event in events[1::3]] == ["x"] * 4
 

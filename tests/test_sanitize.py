@@ -2,8 +2,9 @@
 
 Each trap is demonstrated on a deliberately broken fixture — a wall-clock
 read mid-event, an unseeded global random draw, a set at an order-sensitive
-boundary, a use-after-recycle hold, a crediting imbalance — and each has a
-near-identical correct twin that must run trap-free.  A final smoke test
+boundary, a crediting imbalance — and each has a near-identical correct
+twin that must run trap-free.  Events held past later steps keep their
+outcome and never trap.  A final smoke test
 checks a sanitized pipeline run is bit-identical with an unsanitized one:
 the sanitizer is a pure detector.
 """
@@ -129,29 +130,30 @@ class TestOrderedBoundaries:
         sanitize.check_ordered((1, 2), "batch coalescing")
 
 
-# -- use-after-recycle poisoning ------------------------------------------
+# -- events held past later steps -----------------------------------------
 
 
-class TestUseAfterRecycle:
+class TestHeldEvents:
     @pytest.mark.parametrize("make", ["sleep", "sleep_until"])
-    def test_holding_a_pooled_event_past_a_later_step_traps(self, make):
-        def broken(env, store):
+    def test_holding_a_sleep_past_a_later_step_resumes_at_once(self, make):
+        resumed = []
+
+        def holder(env, store):
             yield store.put("x")
             ev = env.sleep(1.0) if make == "sleep" else env.sleep_until(env.now + 1.0)
             yield ev
-            yield env.sleep(1.0)  # a later step: ev has been recycled by now
-            yield ev
+            yield env.sleep(1.0)  # a later step: ev stays processed
+            value = yield ev  # resumes at once, no trap
+            resumed.append((env.now, value, ev.processed, ev.ok))
 
         env = Environment(sanitize=True)
         store = Store(env)
-        env.process(broken(env, store))
-        with pytest.raises(SanitizerTrap) as excinfo:
-            env.run()
-        assert "use of PooledTimeout after recycling" in str(excinfo.value)
-        assert "generation" in str(excinfo.value)
+        env.process(holder(env, store))
+        env.run()
+        assert resumed == [(2.0, None, True, True)]
 
     def test_store_and_release_events_held_past_a_later_step_keep_their_values(self):
-        # Only sleeps are pooled: a put, a get and a release stay the caller's
+        # No event is recycled: a put, a get and a release stay the caller's
         # own objects, so holding one past later steps neither traps nor
         # observes another operation.
         held = {}
@@ -196,19 +198,6 @@ class TestUseAfterRecycle:
         env.process(fine(env, store))
         env.run()
 
-    def test_sanitize_keeps_free_lists_empty(self):
-        def fine(env, store):
-            for _ in range(5):
-                yield store.put("x")
-                yield store.get()
-                yield env.sleep(1.0)
-
-        env = Environment(sanitize=True)
-        store = Store(env)
-        env.process(fine(env, store))
-        env.run()
-        assert env._timeout_pool == []
-
     def test_releases_are_never_recycled(self):
         releases = []
 
@@ -226,23 +215,6 @@ class TestUseAfterRecycle:
         env.process(fine(env, resource))
         env.run()
         assert len({id(release) for release in releases}) == 4
-
-    def test_poison_list_poisons_instead_of_pooling(self):
-        event = Environment().sleep(1.0)
-        pool = sanitize.PoisonList()
-        pool.append(event)
-        assert pool == []
-        assert event._generation == 1
-        assert isinstance(event._value, SanitizerTrap)
-
-    def test_poison_event_bumps_the_generation_counter(self):
-        env = Environment()
-        event = env.sleep(1.0)  # PooledTimeout: carries the generation slot
-        sanitize.poison_event(event)
-        sanitize.poison_event(event)
-        assert event._generation == 2
-        assert isinstance(event._value, SanitizerTrap)
-        assert event.callbacks is None
 
 
 # -- crediting validation -------------------------------------------------

@@ -829,7 +829,7 @@ class TestCaseTimeout:
 
 
 class TestPoolInterruptCleanup:
-    """Regression: a KeyboardInterrupt mid-run must terminate pool workers."""
+    """An interrupted or killed run leaves no pool worker or case child behind."""
 
     def test_interrupt_during_pool_run_releases_the_pool(self):
         class Interrupt(KeyboardInterrupt):
@@ -860,6 +860,56 @@ class TestPoolInterruptCleanup:
             runner.run(cases)
         # Every child was killed and joined, none left running or unreaped.
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_pool_workers_of_a_killed_parent_exit(self, tmp_path):
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # Each case records its worker's pid and takes 0.5 s, so both
+        # workers are mid-case, with more cases queued, when the parent dies.
+        parent_code = (
+            "import os, threading\n"
+            "import repro.sweep.runner as runner_module\n"
+            "from repro.bench.experiments import figure2_spec\n"
+            "config = next(iter(figure2_spec(steps=1).cases())).config\n"
+            "def slow(config):\n"
+            f"    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w').close()\n"
+            "    threading.Event().wait(0.5)\n"
+            "runner_module.run_config = slow\n"
+            "cases = [(f'case-{i}', config) for i in range(40)]\n"
+            "runner_module.SweepRunner(workers=2, trace=False).run(cases)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", parent_code], env=dict(os.environ, PYTHONPATH="src")
+        )
+        try:
+            give_up = time.monotonic() + 20.0
+            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < give_up:
+                time.sleep(0.05)
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+        workers = sorted(path.name for path in tmp_path.iterdir())
+        assert len(workers) == 2, workers
+
+        def state(pid):
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return None  # gone
+
+        # Reaping an orphan is up to its new parent, so a zombie counts as gone.
+        give_up = time.monotonic() + 5.0
+        while any(state(pid) not in (None, "Z") for pid in workers):
+            if time.monotonic() > give_up:
+                for pid in workers:
+                    if state(pid) not in (None, "Z"):
+                        os.kill(int(pid), signal.SIGKILL)
+                pytest.fail(f"pool workers {workers} outlived their killed parent")
+            time.sleep(0.05)
 
 
 class TestQuarantine:
